@@ -128,7 +128,7 @@ fn main() {
         let (_engine, run) = ExperimentEngine::recover(fresh.as_mut(), &ew, spec, &plan, recovered)
             .expect("replay verifies");
         let secs = t.elapsed().as_secs_f64();
-        assert_eq!(run.replayed as u64, k, "recovery replayed the journaled prefix");
+        assert_eq!(run.inputs.len() as u64, k, "recovery replayed the journaled prefix");
         latency_rows.push((k, secs));
     }
 

@@ -24,10 +24,9 @@ use hyperdrive_bench::{harness_fit_threads, print_table, quick_mode, results_dir
 use hyperdrive_core::{PopConfig, PopPolicy};
 use hyperdrive_curve::PredictorConfig;
 use hyperdrive_framework::{
-    Command, DefaultPolicy, EngineEvent, ExperimentEngine, ExperimentResult, ExperimentSpec,
-    ExperimentWorkload, SchedulingPolicy,
+    DefaultPolicy, ExperimentResult, ExperimentSpec, ExperimentWorkload, SchedulingPolicy,
 };
-use hyperdrive_sim::{EventQueue, Simulation};
+use hyperdrive_sim::{run_sim, Simulation};
 use hyperdrive_types::SimTime;
 use hyperdrive_workload::CifarWorkload;
 
@@ -127,44 +126,18 @@ fn timed_best(
     best
 }
 
-/// The seed executor's per-event shape, retained in-tree for exactly this
-/// comparison: the allocating `handle()` API (a fresh `Vec<Command>` per
-/// event) driving whichever `ResourceManager` backend `HYPERDRIVE_RM`
-/// selects. Paired with `HYPERDRIVE_RM=reference` this is the pre-
-/// optimization event loop end to end.
-fn seed_path_run(machines: usize) -> (u64, f64, u64) {
+/// The comparison run at the reference point: plain `run_sim` on the
+/// scaling workload, driving whichever `ResourceManager` backend
+/// `HYPERDRIVE_RM` selects. Paired with `HYPERDRIVE_RM=reference` this is
+/// the O(n) linear-scan baseline end to end. The default policy never
+/// suspends, so the simulator handles exactly one event per epoch.
+fn reference_run(machines: usize) -> (u64, f64, u64) {
     let (ew, spec) = scale_spec(machines);
     let mut policy = DefaultPolicy::new();
-    let mut engine = ExperimentEngine::new(&mut policy, &ew, spec);
-    let mut queue: EventQueue<EngineEvent> = EventQueue::with_capacity(ew.len() + 1);
-    let dispatch = |cmds: &[Command], now: SimTime, queue: &mut EventQueue<EngineEvent>| {
-        let mut stop = false;
-        for cmd in cmds {
-            match *cmd {
-                Command::RunEpoch { job, duration, token, .. } => {
-                    queue.schedule(now + duration, EngineEvent::EpochDone { job, token });
-                }
-                Command::Suspend { job, latency, token, .. } => {
-                    queue.schedule(now + latency, EngineEvent::SuspendDone { job, token });
-                }
-                Command::Stop => stop = true,
-            }
-        }
-        stop
-    };
     let t = Instant::now();
-    let mut stop = dispatch(&engine.start(), SimTime::ZERO, &mut queue);
-    let mut events = 0u64;
-    let mut now = SimTime::ZERO;
-    while !stop {
-        let Some((at, ev)) = queue.pop() else { break };
-        now = at;
-        let cmds = engine.handle(ev, at);
-        events += 1;
-        stop = dispatch(&cmds, at, &mut queue);
-    }
+    let result = run_sim(&mut policy, &ew, spec);
     let secs = t.elapsed().as_secs_f64();
-    (events, secs, trace_hash(&engine.into_result(now)))
+    (result.total_epochs, secs, trace_hash(&result))
 }
 
 /// Allocations per steady-state event at a given cluster size: jobs ==
@@ -279,11 +252,10 @@ fn main() {
     }
     assert!(zero_alloc, "steady-state sim loop allocated");
 
-    // ---- Reference baseline at the comparison point: the retained
-    // pre-optimization event loop — allocating `handle()` API + O(n)
-    // linear-scan ResourceManager backend — on the same workload and
-    // seed. The traces must hash identically: every optimization in the
-    // fast path is a pure data-structure or buffering swap.
+    // ---- Reference baseline at the comparison point: the O(n)
+    // linear-scan ResourceManager backend on the same workload and seed.
+    // The traces must hash identically: the free-set backend is a pure
+    // data-structure swap.
     // The two sides are measured *interleaved* (fast rep, reference rep,
     // repeat), each keeping its minimum: load drift on a shared host then
     // hits both sides alike instead of skewing whichever ran second, and
@@ -304,7 +276,7 @@ fn main() {
         assert_eq!((events, hash), (fast_events, fast_hash), "fast path rep diverged");
         fast_secs = fast_secs.min(secs);
         std::env::set_var("HYPERDRIVE_RM", "reference");
-        let (events, secs, hash) = seed_path_run(reference_point);
+        let (events, secs, hash) = reference_run(reference_point);
         std::env::remove_var("HYPERDRIVE_RM");
         ref_events = events;
         ref_secs = ref_secs.min(secs);

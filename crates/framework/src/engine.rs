@@ -107,8 +107,6 @@ pub enum EngineEvent {
 /// executor uses this to rebuild its delivery state and continue the run.
 #[derive(Debug)]
 pub struct RecoveredRun {
-    /// Number of journaled inputs replayed.
-    pub replayed: usize,
     /// The replayed inputs, in original order (the simulator pops its
     /// rebuilt queue against these to verify delivery order).
     pub inputs: Vec<ReplayInput>,
@@ -117,8 +115,6 @@ pub struct RecoveredRun {
     pub batches: Vec<(SimTime, Vec<Command>)>,
     /// Executor time of the last replayed input (zero if none).
     pub now: SimTime,
-    /// True if the run had already stopped (goal reached or `Tmax`).
-    pub stopped: bool,
     /// True if the journal was sealed (the original run ended or drained
     /// on SIGTERM before the crash).
     pub sealed: bool,
@@ -440,7 +436,7 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
     /// Creates an engine whose probabilistic faults (suspend failure,
     /// snapshot corruption) and retry policy come from `plan`. Timed
     /// faults in the plan are the executor's responsibility — it calls
-    /// [`inject_machine_crash`](Self::inject_machine_crash) and friends
+    /// [`inject_machine_crash_into`](Self::inject_machine_crash_into) and friends
     /// when their times come. With [`FaultPlan::none`] this is exactly
     /// [`ExperimentEngine::new`].
     ///
@@ -564,20 +560,21 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
         let mut engine = Self::with_journal(policy, workload, spec, plan, journal);
         let mut batches = Vec::with_capacity(inputs.len());
         for input in &inputs {
-            let (now, cmds) = match *input {
-                ReplayInput::Start => (SimTime::ZERO, engine.start()),
-                ReplayInput::Event { event, now } => (now, engine.handle(event, now)),
+            let mut cmds = Vec::new();
+            match *input {
+                ReplayInput::Start => engine.start_into(&mut cmds),
+                ReplayInput::Event { event, now } => engine.handle_into(event, now, &mut cmds),
                 ReplayInput::MachineCrash { machine, now } => {
-                    (now, engine.inject_machine_crash(machine, now))
+                    engine.inject_machine_crash_into(machine, now, &mut cmds);
                 }
                 ReplayInput::MachineRecovery { machine, now } => {
-                    (now, engine.inject_machine_recovery(machine, now))
+                    engine.inject_machine_recovery_into(machine, now, &mut cmds);
                 }
                 ReplayInput::AgentStall { machine, now } => {
-                    (now, engine.inject_agent_stall(machine, now))
+                    engine.inject_agent_stall_into(machine, now, &mut cmds);
                 }
-            };
-            batches.push((now, cmds));
+            }
+            batches.push((input.now().unwrap_or(SimTime::ZERO), cmds));
         }
         if let Some(err) = engine.core.journal.take_divergence() {
             return Err(err);
@@ -590,22 +587,14 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
             });
         }
         let now = inputs.iter().rev().find_map(ReplayInput::now).unwrap_or(SimTime::ZERO);
-        let stopped = engine.core.stopped;
-        let run = RecoveredRun { replayed: inputs.len(), inputs, batches, now, stopped, sealed };
+        let run = RecoveredRun { inputs, batches, now, sealed };
         Ok((engine, run))
     }
 
     /// Starts the experiment: fires the initial `AllocateJobs` up-call and
-    /// returns the first command batch.
-    pub fn start(&mut self) -> Vec<Command> {
-        let mut out = Vec::new();
-        self.start_into(&mut out);
-        out
-    }
-
-    /// Buffer-reusing form of [`start`](Self::start): the batch is written
-    /// into `out` (cleared first). Executors pass the same buffer to every
-    /// engine call so the steady-state event path allocates nothing.
+    /// writes the first command batch into `out` (cleared first).
+    /// Executors pass the same buffer to every engine call so the
+    /// steady-state event path allocates nothing.
     pub fn start_into(&mut self, out: &mut Vec<Command>) {
         self.core.journal.input_start();
         self.policy.allocate_jobs(&mut self.core);
@@ -651,8 +640,8 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
         self.core.prefetch_hints.clear();
     }
 
-    /// Feeds one completion event back at time `now`, returning follow-up
-    /// commands.
+    /// Feeds one completion event back at time `now`, writing follow-up
+    /// commands into `out` (cleared first).
     ///
     /// Stale events — whose token no longer matches the job's outstanding
     /// command because a fault invalidated it — are silently dropped.
@@ -661,14 +650,6 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
     ///
     /// Panics on protocol violations (events for jobs in impossible
     /// states), which indicate an executor bug.
-    pub fn handle(&mut self, event: EngineEvent, now: SimTime) -> Vec<Command> {
-        let mut out = Vec::new();
-        self.handle_into(event, now, &mut out);
-        out
-    }
-
-    /// Buffer-reusing form of [`handle`](Self::handle): follow-up commands
-    /// are written into `out` (cleared first).
     pub fn handle_into(&mut self, event: EngineEvent, now: SimTime, out: &mut Vec<Command>) {
         // Journaled before any state changes (write-ahead), including
         // no-op deliveries, so journal positions correspond 1:1 to
@@ -700,16 +681,9 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
 
     /// Injects a machine crash at time `now`: the machine goes dead, any
     /// hosted job is interrupted (rolled back to its last snapshot), and
-    /// the policy gets a chance to reallocate. Returns follow-up commands.
-    /// Crashing an already-dead machine is a no-op.
-    pub fn inject_machine_crash(&mut self, machine: MachineId, now: SimTime) -> Vec<Command> {
-        let mut out = Vec::new();
-        self.inject_machine_crash_into(machine, now, &mut out);
-        out
-    }
-
-    /// Buffer-reusing form of
-    /// [`inject_machine_crash`](Self::inject_machine_crash).
+    /// the policy gets a chance to reallocate. Follow-up commands are
+    /// written into `out` (cleared first). Crashing an already-dead
+    /// machine is a no-op.
     pub fn inject_machine_crash_into(
         &mut self,
         machine: MachineId,
@@ -737,16 +711,9 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
     }
 
     /// Injects a machine recovery at time `now`: the machine returns to
-    /// the idle pool and the policy may immediately use it. Recovering an
+    /// the idle pool and the policy may immediately use it. Follow-up
+    /// commands are written into `out` (cleared first). Recovering an
     /// alive machine is a no-op.
-    pub fn inject_machine_recovery(&mut self, machine: MachineId, now: SimTime) -> Vec<Command> {
-        let mut out = Vec::new();
-        self.inject_machine_recovery_into(machine, now, &mut out);
-        out
-    }
-
-    /// Buffer-reusing form of
-    /// [`inject_machine_recovery`](Self::inject_machine_recovery).
     pub fn inject_machine_recovery_into(
         &mut self,
         machine: MachineId,
@@ -769,15 +736,8 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
     /// the machine's in-flight work is lost, the hosted job is interrupted
     /// (rolled back to its last snapshot), and the machine — which
     /// survives, only its agent was restarted — returns to the pool.
-    /// A stall on a machine hosting nothing is a no-op.
-    pub fn inject_agent_stall(&mut self, machine: MachineId, now: SimTime) -> Vec<Command> {
-        let mut out = Vec::new();
-        self.inject_agent_stall_into(machine, now, &mut out);
-        out
-    }
-
-    /// Buffer-reusing form of
-    /// [`inject_agent_stall`](Self::inject_agent_stall).
+    /// Follow-up commands are written into `out` (cleared first). A stall
+    /// on a machine hosting nothing is a no-op.
     pub fn inject_agent_stall_into(
         &mut self,
         machine: MachineId,
@@ -1034,6 +994,44 @@ mod tests {
     use super::*;
     use crate::policy::DefaultPolicy;
     use hyperdrive_workload::CifarWorkload;
+
+    /// Allocating forms of the engine's `*_into` entry points, for test
+    /// brevity.
+    trait Batches {
+        fn start(&mut self) -> Vec<Command>;
+        fn handle(&mut self, event: EngineEvent, now: SimTime) -> Vec<Command>;
+        fn inject_machine_crash(&mut self, machine: MachineId, now: SimTime) -> Vec<Command>;
+        fn inject_machine_recovery(&mut self, machine: MachineId, now: SimTime) -> Vec<Command>;
+        fn inject_agent_stall(&mut self, machine: MachineId, now: SimTime) -> Vec<Command>;
+    }
+
+    impl Batches for ExperimentEngine<'_, '_> {
+        fn start(&mut self) -> Vec<Command> {
+            let mut out = Vec::new();
+            self.start_into(&mut out);
+            out
+        }
+        fn handle(&mut self, event: EngineEvent, now: SimTime) -> Vec<Command> {
+            let mut out = Vec::new();
+            self.handle_into(event, now, &mut out);
+            out
+        }
+        fn inject_machine_crash(&mut self, machine: MachineId, now: SimTime) -> Vec<Command> {
+            let mut out = Vec::new();
+            self.inject_machine_crash_into(machine, now, &mut out);
+            out
+        }
+        fn inject_machine_recovery(&mut self, machine: MachineId, now: SimTime) -> Vec<Command> {
+            let mut out = Vec::new();
+            self.inject_machine_recovery_into(machine, now, &mut out);
+            out
+        }
+        fn inject_agent_stall(&mut self, machine: MachineId, now: SimTime) -> Vec<Command> {
+            let mut out = Vec::new();
+            self.inject_agent_stall_into(machine, now, &mut out);
+            out
+        }
+    }
 
     fn tiny_workload(n: usize, epochs: u32) -> ExperimentWorkload {
         let w = CifarWorkload::new().with_max_epochs(epochs);

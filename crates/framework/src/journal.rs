@@ -2,9 +2,10 @@
 //!
 //! The engine is a deterministic fold over its inputs: given the same
 //! policy, workload, spec, and fault plan, the same sequence of
-//! [`start`](crate::ExperimentEngine::start) /
-//! [`handle`](crate::ExperimentEngine::handle) / fault injections produces
-//! bit-identical commands, events, and results. The journal exploits that:
+//! [`start_into`](crate::ExperimentEngine::start_into) /
+//! [`handle_into`](crate::ExperimentEngine::handle_into) / fault
+//! injections produces bit-identical commands, events, and results. The
+//! journal exploits that:
 //! it records every *input* (plus verification digests of every *output*)
 //! in an append-only, checksummed, per-run log, so a run killed at any
 //! point can be recovered by replaying the logged inputs through a fresh
@@ -21,7 +22,7 @@
 //! | kind | record          | role |
 //! |------|-----------------|------|
 //! | 1    | `Start`         | input: the initial `AllocateJobs` up-call |
-//! | 2    | `Event`         | input: a completion fed to `handle` |
+//! | 2    | `Event`         | input: a completion fed to `handle_into` |
 //! | 3    | `MachineCrash`  | input: injected crash |
 //! | 4    | `MachineRecover`| input: injected recovery |
 //! | 5    | `AgentStall`    | input: injected stall detection |
@@ -254,7 +255,7 @@ pub fn run_meta(
 /// One journaled engine input, decoded for replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplayInput {
-    /// The initial `start()` call.
+    /// The initial `start_into()` call.
     Start,
     /// A completion fed to `handle(event, now)`.
     Event {

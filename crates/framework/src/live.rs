@@ -11,7 +11,7 @@
 //! watchdog: if an agent's report does not arrive within its deadline plus
 //! [`LiveFaultPlan::watchdog_grace`], the agent is declared stalled, a
 //! fresh agent thread replaces it, and the engine rolls the hosted job
-//! back to its last snapshot ([`ExperimentEngine::inject_agent_stall`]).
+//! back to its last snapshot ([`ExperimentEngine::inject_agent_stall_into`]).
 //! [`run_live_with_faults`] exercises that path deliberately by wedging
 //! chosen requests.
 //!

@@ -1,14 +1,14 @@
-//! Fault-injecting discrete-event execution.
+//! Fault injection for the simulator.
 //!
 //! [`run_sim_with_faults`] replays a
 //! [`FaultPlan`](hyperdrive_framework::FaultPlan) against an experiment in
-//! virtual time: machine crash/recovery events are scheduled alongside the
-//! engine's own completions, agent stalls swallow the next completion
-//! report from their machine (the engine learns of the loss only when the
-//! scheduled detection timeout fires), and reply delays postpone a report
-//! without losing it. Probabilistic faults (suspend failure, snapshot
-//! corruption) are evaluated inside the engine from the plan's seeded RNG
-//! stream.
+//! virtual time through [`Simulation::with_faults`]: machine crash/recovery
+//! events are scheduled alongside the engine's own completions, agent
+//! stalls swallow the next completion report from their machine (the
+//! engine learns of the loss only when the scheduled detection timeout
+//! fires), and reply delays postpone a report without losing it.
+//! Probabilistic faults (suspend failure, snapshot corruption) are
+//! evaluated inside the engine from the plan's seeded RNG stream.
 //!
 //! Running with [`FaultPlan::none`](hyperdrive_framework::FaultPlan::none)
 //! is byte-identical to [`run_sim`](crate::run_sim) — the property tests
@@ -17,25 +17,11 @@
 use std::collections::{HashMap, VecDeque};
 
 use hyperdrive_framework::{
-    Command, EngineEvent, ExperimentEngine, ExperimentResult, ExperimentSpec, ExperimentWorkload,
-    FaultKind, FaultPlan, SchedulingPolicy,
+    ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultKind, FaultPlan, SchedulingPolicy,
 };
 use hyperdrive_types::{MachineId, SimTime};
 
-use crate::queue::EventQueue;
-
-/// Everything that can happen in the fault-injecting simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SimEvent {
-    /// A completion report reaching the scheduler.
-    Engine(EngineEvent),
-    /// A scheduled machine crash.
-    Crash(MachineId),
-    /// A scheduled machine recovery.
-    Recover(MachineId),
-    /// The heartbeat timeout for a swallowed report fires.
-    StallDetected(MachineId),
-}
+use crate::Simulation;
 
 /// Per-machine queues of pending stall/delay faults, consumed in time
 /// order as replies would pass through them.
@@ -49,7 +35,8 @@ pub(crate) struct ReplyFaults {
 }
 
 impl ReplyFaults {
-    pub(crate) fn from_plan(plan: &FaultPlan) -> Self {
+    /// The plan's stall and delay faults, or `None` if it has neither.
+    pub(crate) fn from_plan(plan: &FaultPlan) -> Option<Self> {
         let mut stalls: HashMap<MachineId, VecDeque<(SimTime, SimTime)>> = HashMap::new();
         let mut delays: HashMap<MachineId, VecDeque<(SimTime, SimTime)>> = HashMap::new();
         for event in &plan.events {
@@ -65,13 +52,13 @@ impl ReplyFaults {
                 | FaultKind::EngineCrash { .. } => {}
             }
         }
-        ReplyFaults { stalls, delays }
+        (!stalls.is_empty() || !delays.is_empty()).then_some(ReplyFaults { stalls, delays })
     }
 
     /// Routes one completion report due at `due` from `machine`: either it
     /// is swallowed by a stall (returns the detection time), postponed by a
     /// delay (returns the late arrival time), or passes through untouched.
-    fn route(&mut self, machine: MachineId, due: SimTime) -> ReplyFate {
+    pub(crate) fn route(&mut self, machine: MachineId, due: SimTime) -> ReplyFate {
         if let Some(queue) = self.stalls.get_mut(&machine) {
             if let Some(&(at, detection)) = queue.front() {
                 if at <= due {
@@ -92,46 +79,10 @@ impl ReplyFaults {
     }
 }
 
-enum ReplyFate {
+pub(crate) enum ReplyFate {
     OnTime,
     Delayed { arrives_at: SimTime },
     Lost { detected_at: SimTime },
-}
-
-/// Translates engine commands into future events, filtering each reply
-/// through the pending stall/delay faults. Returns whether `Stop` was seen.
-pub(crate) fn schedule_faulty(
-    cmds: &[Command],
-    now: SimTime,
-    queue: &mut EventQueue<SimEvent>,
-    reply_faults: &mut ReplyFaults,
-) -> bool {
-    let mut stop = false;
-    for cmd in cmds {
-        let (machine, due, event) = match *cmd {
-            Command::RunEpoch { job, machine, duration, token, .. } => {
-                (machine, now + duration, EngineEvent::EpochDone { job, token })
-            }
-            Command::Suspend { job, machine, latency, token } => {
-                (machine, now + latency, EngineEvent::SuspendDone { job, token })
-            }
-            Command::Stop => {
-                stop = true;
-                continue;
-            }
-        };
-        match reply_faults.route(machine, due) {
-            ReplyFate::OnTime => queue.schedule(due, SimEvent::Engine(event)),
-            ReplyFate::Delayed { arrives_at } => {
-                queue.schedule(arrives_at, SimEvent::Engine(event));
-            }
-            ReplyFate::Lost { detected_at } => {
-                // The report never arrives; only the watchdog does.
-                queue.schedule(detected_at, SimEvent::StallDetected(machine));
-            }
-        }
-    }
-    stop
 }
 
 /// Runs one experiment to completion on the virtual clock while injecting
@@ -149,61 +100,9 @@ pub fn run_sim_with_faults(
     spec: ExperimentSpec,
     plan: &FaultPlan,
 ) -> ExperimentResult {
-    let mut engine = ExperimentEngine::with_fault_injection(policy, workload, spec, plan);
-    // True worst-case heap occupancy under faults: besides each job's one
-    // live in-flight event, every interruption can orphan a stale-token
-    // event that lingers in the queue until its (delayed) due time, and a
-    // job is interrupted at most `max_retries + 1` times before it fails —
-    // so up to `max_retries + 2` queued events per job — plus one slot per
-    // timed fault in the plan (crashes/recoveries are enqueued up front;
-    // stall detections replace the reply they swallow, so the plan length
-    // over-covers them). Sized here so the queue never reallocates
-    // mid-run.
-    let per_job = plan.retry.max_retries as usize + 2;
-    let capacity = workload.len() * per_job + plan.events.len() + 1;
-    let mut queue: EventQueue<SimEvent> = EventQueue::with_capacity(capacity);
-    let mut reply_faults = ReplyFaults::from_plan(plan);
-    let mut now = SimTime::ZERO;
-
-    // Timed machine faults go straight into the future-event queue.
-    for event in &plan.events {
-        match event.kind {
-            FaultKind::MachineCrash => queue.schedule(event.at, SimEvent::Crash(event.machine)),
-            FaultKind::MachineRecover => {
-                queue.schedule(event.at, SimEvent::Recover(event.machine));
-            }
-            FaultKind::AgentStall { .. }
-            | FaultKind::ReplyDelay { .. }
-            | FaultKind::EngineCrash { .. } => {}
-        }
-    }
-
-    let mut cmds = Vec::new();
-    engine.start_into(&mut cmds);
-    let mut stopping = schedule_faulty(&cmds, now, &mut queue, &mut reply_faults);
-    while !stopping {
-        let Some((t, sim_event)) = queue.pop() else {
-            break; // all work and all faults drained
-        };
-        now = t;
-        match sim_event {
-            SimEvent::Engine(event) => engine.handle_into(event, t, &mut cmds),
-            SimEvent::Crash(machine) => engine.inject_machine_crash_into(machine, t, &mut cmds),
-            SimEvent::Recover(machine) => {
-                engine.inject_machine_recovery_into(machine, t, &mut cmds);
-            }
-            SimEvent::StallDetected(machine) => {
-                engine.inject_agent_stall_into(machine, t, &mut cmds);
-            }
-        }
-        stopping = schedule_faulty(&cmds, now, &mut queue, &mut reply_faults) || engine.stopped();
-        if !stopping && engine.active_job_count() == 0 {
-            // Every job reached a terminal state; anything left in the
-            // queue is a fault event that can no longer affect the run.
-            break;
-        }
-    }
-    engine.into_result(now)
+    let mut sim = Simulation::with_faults(policy, workload, spec, plan);
+    while sim.step().is_some() {}
+    sim.finish()
 }
 
 #[cfg(test)]

@@ -1,18 +1,17 @@
 //! Crash-consistent simulation: journaled runs and kill-anywhere recovery.
 //!
-//! [`run_sim_journaled`] is [`run_sim_with_faults`](crate::run_sim_with_faults)
-//! with an explicit write-ahead [`Journal`] and an optional simulated
-//! process crash: once the engine has journaled `crash_after` inputs the
-//! run stops dead — no seal, no result — exactly as if the scheduler
-//! process had been killed. [`resume_sim_journaled`] is the other half:
-//! it replays the journal through a fresh engine and policy
-//! ([`ExperimentEngine::recover`]), rebuilds the future-event queue by
-//! re-scheduling every regenerated command batch (the events the dead
-//! process already consumed come back off the front in exactly the
-//! original order, and are verified against the journal), and then runs
-//! the standard loop to completion. The recovered trace is byte-identical
-//! to an uninterrupted run — [`kill_at_every_event`] proves it by
-//! crashing at *every* journal position.
+//! [`run_sim_journaled`] drives [`Simulation::with_journal`]: every engine
+//! input goes to an explicit write-ahead [`Journal`], and an optional
+//! simulated process crash stops the run dead once the engine has
+//! journaled `crash_after` inputs — no seal, no result — exactly as if the
+//! scheduler process had been killed. [`resume_sim_journaled`] is the
+//! other half: [`Simulation::resume`] replays the journal through a fresh
+//! engine and policy, rebuilds the future-event queue from the regenerated
+//! command batches, verifies the already-consumed prefix against the
+//! journal, and the same step loop runs the experiment to completion. The
+//! recovered trace is byte-identical to an uninterrupted run —
+//! [`kill_at_every_event`] proves it by crashing at *every* journal
+//! position.
 //!
 //! [`run_sim_with_recovery`] honours
 //! [`FaultKind::EngineCrash`] events in a fault plan: each one kills and
@@ -20,13 +19,12 @@
 //! through multiple crashes in one call.
 
 use hyperdrive_framework::{
-    Command, ExperimentEngine, ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultKind,
-    FaultPlan, FaultStats, Journal, RecoveredJournal, ReplayInput, SchedulingPolicy,
+    ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultKind, FaultPlan, FaultStats,
+    Journal, RecoveredJournal, SchedulingPolicy,
 };
-use hyperdrive_types::{Error, Result, SimTime};
+use hyperdrive_types::{Result, SimTime};
 
-use crate::faults::{schedule_faulty, ReplyFaults, SimEvent};
-use crate::queue::EventQueue;
+use crate::Simulation;
 
 /// What a journaled simulation produced.
 #[derive(Debug)]
@@ -40,28 +38,10 @@ pub struct SimRunOutcome {
     pub inputs: u64,
 }
 
-/// Worst-case future-event-queue occupancy under this plan — same bound as
-/// the plain fault executor (see `run_sim_with_faults`): one live event per
-/// job plus at most one stale token per interruption, plus the plan's own
-/// timed events.
-fn queue_capacity(workload: &ExperimentWorkload, plan: &FaultPlan) -> usize {
-    let per_job = plan.retry.max_retries as usize + 2;
-    workload.len() * per_job + plan.events.len() + 1
-}
-
-/// Schedules the plan's timed machine faults into the future-event queue.
-fn schedule_timed_faults(plan: &FaultPlan, queue: &mut EventQueue<SimEvent>) {
-    for event in &plan.events {
-        match event.kind {
-            FaultKind::MachineCrash => queue.schedule(event.at, SimEvent::Crash(event.machine)),
-            FaultKind::MachineRecover => {
-                queue.schedule(event.at, SimEvent::Recover(event.machine));
-            }
-            FaultKind::AgentStall { .. }
-            | FaultKind::ReplyDelay { .. }
-            | FaultKind::EngineCrash { .. } => {}
-        }
-    }
+/// Steps a simulation until it stops or its simulated crash fires.
+fn drive(mut sim: Simulation<'_, '_>) -> SimRunOutcome {
+    while sim.step().is_some() {}
+    sim.into_outcome()
 }
 
 /// Runs one experiment on the virtual clock, writing every engine input to
@@ -79,48 +59,7 @@ pub fn run_sim_journaled(
     journal: Journal,
     crash_after: Option<u64>,
 ) -> SimRunOutcome {
-    let mut engine = ExperimentEngine::with_journal(policy, workload, spec, plan, journal);
-    if crash_after == Some(0) {
-        return SimRunOutcome { result: None, inputs: 0 };
-    }
-    let mut queue: EventQueue<SimEvent> = EventQueue::with_capacity(queue_capacity(workload, plan));
-    let mut reply_faults = ReplyFaults::from_plan(plan);
-    let mut now = SimTime::ZERO;
-    schedule_timed_faults(plan, &mut queue);
-
-    let mut cmds: Vec<Command> = Vec::new();
-    engine.start_into(&mut cmds);
-    if crash_after.is_some_and(|k| engine.journaled_inputs() >= k) {
-        return SimRunOutcome { result: None, inputs: engine.journaled_inputs() };
-    }
-    let mut stopping = schedule_faulty(&cmds, now, &mut queue, &mut reply_faults);
-    while !stopping {
-        let Some((t, sim_event)) = queue.pop() else {
-            break;
-        };
-        now = t;
-        match sim_event {
-            SimEvent::Engine(event) => engine.handle_into(event, t, &mut cmds),
-            SimEvent::Crash(machine) => engine.inject_machine_crash_into(machine, t, &mut cmds),
-            SimEvent::Recover(machine) => {
-                engine.inject_machine_recovery_into(machine, t, &mut cmds);
-            }
-            SimEvent::StallDetected(machine) => {
-                engine.inject_agent_stall_into(machine, t, &mut cmds);
-            }
-        }
-        // A crash at input k dies before the batch is acted on; recovery
-        // regenerates and redelivers it.
-        if crash_after.is_some_and(|k| engine.journaled_inputs() >= k) {
-            return SimRunOutcome { result: None, inputs: engine.journaled_inputs() };
-        }
-        stopping = schedule_faulty(&cmds, now, &mut queue, &mut reply_faults) || engine.stopped();
-        if !stopping && engine.active_job_count() == 0 {
-            break;
-        }
-    }
-    let inputs = engine.journaled_inputs();
-    SimRunOutcome { result: Some(engine.into_result(now)), inputs }
+    drive(Simulation::with_journal(policy, workload, spec, plan, journal, crash_after))
 }
 
 /// Resumes a crashed journaled run to completion.
@@ -131,9 +70,10 @@ pub fn run_sim_journaled(
 ///
 /// # Errors
 ///
-/// [`Error::JournalDiverged`] if replay regenerates different records than
-/// the journal holds, or if the rebuilt event queue disagrees with the
-/// journaled input order (wrong policy, workload, spec, or plan).
+/// [`Error::JournalDiverged`](hyperdrive_types::Error::JournalDiverged) if
+/// replay regenerates different records than the journal holds, or if the
+/// rebuilt event queue disagrees with the journaled input order (wrong
+/// policy, workload, spec, or plan).
 pub fn resume_sim_journaled(
     policy: &mut dyn SchedulingPolicy,
     workload: &ExperimentWorkload,
@@ -141,117 +81,9 @@ pub fn resume_sim_journaled(
     plan: &FaultPlan,
     recovered: RecoveredJournal,
 ) -> Result<ExperimentResult> {
-    let outcome = resume_sim_inner(policy, workload, spec, plan, recovered, None)?;
-    Ok(outcome.result.expect("no crash point was armed"))
-}
-
-/// [`resume_sim_journaled`] with an optional further simulated crash, so
-/// multi-crash plans can chain through recovery legs.
-fn resume_sim_inner(
-    policy: &mut dyn SchedulingPolicy,
-    workload: &ExperimentWorkload,
-    spec: ExperimentSpec,
-    plan: &FaultPlan,
-    recovered: RecoveredJournal,
-    crash_after: Option<u64>,
-) -> Result<SimRunOutcome> {
-    let (mut engine, run) = ExperimentEngine::recover(policy, workload, spec, plan, recovered)?;
-    let mut queue: EventQueue<SimEvent> = EventQueue::with_capacity(queue_capacity(workload, plan));
-    let mut reply_faults = ReplyFaults::from_plan(plan);
-    schedule_timed_faults(plan, &mut queue);
-
-    let mut cmds: Vec<Command> = Vec::new();
-    let mut stopping;
-    if run.inputs.is_empty() {
-        // Header-only journal (the process died before `start()` was
-        // recorded): this is simply a fresh journaled run.
-        engine.start_into(&mut cmds);
-        if crash_after.is_some_and(|k| engine.journaled_inputs() >= k) {
-            return Ok(SimRunOutcome { result: None, inputs: engine.journaled_inputs() });
-        }
-        stopping = schedule_faulty(&cmds, SimTime::ZERO, &mut queue, &mut reply_faults);
-    } else {
-        // Re-schedule every regenerated command batch in original order.
-        // The queue's (time, seq) ordering is deterministic, so the
-        // events the dead process already consumed come off the front as
-        // an exact prefix — pop and verify them against the journal.
-        stopping = false;
-        for (at, batch) in &run.batches {
-            stopping |= schedule_faulty(batch, *at, &mut queue, &mut reply_faults);
-        }
-        for (i, input) in run.inputs.iter().enumerate().skip(1) {
-            let Some((t, ev)) = queue.pop() else {
-                return Err(Error::JournalDiverged {
-                    record: i as u64,
-                    detail: "rebuilt event queue ran dry before the journaled inputs were consumed"
-                        .into(),
-                });
-            };
-            if !input_matches(input, t, ev) {
-                return Err(Error::JournalDiverged {
-                    record: i as u64,
-                    detail: format!(
-                        "rebuilt event queue produced {ev:?} at {t:?} where the journal \
-                         recorded {input:?}"
-                    ),
-                });
-            }
-        }
-        stopping = stopping || engine.stopped();
-        if crash_after.is_some_and(|k| engine.journaled_inputs() >= k) {
-            return Ok(SimRunOutcome { result: None, inputs: engine.journaled_inputs() });
-        }
-        // The interrupted iteration's bottom-of-loop check.
-        if !stopping && engine.active_job_count() == 0 {
-            let inputs = engine.journaled_inputs();
-            return Ok(SimRunOutcome { result: Some(engine.into_result(run.now)), inputs });
-        }
-    }
-
-    let mut now = run.now;
-    while !stopping {
-        let Some((t, sim_event)) = queue.pop() else {
-            break;
-        };
-        now = t;
-        match sim_event {
-            SimEvent::Engine(event) => engine.handle_into(event, t, &mut cmds),
-            SimEvent::Crash(machine) => engine.inject_machine_crash_into(machine, t, &mut cmds),
-            SimEvent::Recover(machine) => {
-                engine.inject_machine_recovery_into(machine, t, &mut cmds);
-            }
-            SimEvent::StallDetected(machine) => {
-                engine.inject_agent_stall_into(machine, t, &mut cmds);
-            }
-        }
-        if crash_after.is_some_and(|k| engine.journaled_inputs() >= k) {
-            return Ok(SimRunOutcome { result: None, inputs: engine.journaled_inputs() });
-        }
-        stopping = schedule_faulty(&cmds, now, &mut queue, &mut reply_faults) || engine.stopped();
-        if !stopping && engine.active_job_count() == 0 {
-            break;
-        }
-    }
-    let inputs = engine.journaled_inputs();
-    Ok(SimRunOutcome { result: Some(engine.into_result(now)), inputs })
-}
-
-/// Does a popped simulator event match the journaled input at this
-/// position?
-fn input_matches(input: &ReplayInput, t: SimTime, ev: SimEvent) -> bool {
-    match (*input, ev) {
-        (ReplayInput::Event { event, now }, SimEvent::Engine(e)) => e == event && t == now,
-        (ReplayInput::MachineCrash { machine, now }, SimEvent::Crash(m)) => {
-            m == machine && t == now
-        }
-        (ReplayInput::MachineRecovery { machine, now }, SimEvent::Recover(m)) => {
-            m == machine && t == now
-        }
-        (ReplayInput::AgentStall { machine, now }, SimEvent::StallDetected(m)) => {
-            m == machine && t == now
-        }
-        _ => false,
-    }
+    let mut sim = Simulation::resume(policy, workload, spec, plan, recovered, None)?;
+    while sim.step().is_some() {}
+    Ok(sim.finish())
 }
 
 /// Runs an experiment whose fault plan may contain
@@ -265,7 +97,7 @@ fn input_matches(input: &ReplayInput, t: SimTime, ev: SimEvent) -> bool {
 ///
 /// # Errors
 ///
-/// [`Error::JournalDiverged`] if any recovery leg disagrees with the
+/// [`Error::JournalDiverged`](hyperdrive_types::Error::JournalDiverged) if any recovery leg disagrees with the
 /// journal (non-deterministic policy).
 pub fn run_sim_with_recovery<F>(
     mut make_policy: F,
@@ -303,7 +135,14 @@ where
         let next_crash = crash_iter.find(|&k| k > reached);
         let recovered = journal.reopen()?;
         let mut policy = make_policy();
-        outcome = resume_sim_inner(policy.as_mut(), workload, spec, plan, recovered, next_crash)?;
+        outcome = drive(Simulation::resume(
+            policy.as_mut(),
+            workload,
+            spec,
+            plan,
+            recovered,
+            next_crash,
+        )?);
     }
     Ok(outcome.result.expect("loop exits only with a result"))
 }
@@ -330,7 +169,8 @@ pub struct KillAnywhereReport {
 ///
 /// # Errors
 ///
-/// Propagates journal recovery errors ([`Error::JournalDiverged`] and
+/// Propagates journal recovery errors
+/// ([`Error::JournalDiverged`](hyperdrive_types::Error::JournalDiverged) and
 /// friends); per-position mismatches are collected in the report instead.
 pub fn kill_at_every_event<F>(
     mut make_policy: F,
@@ -394,7 +234,7 @@ mod tests {
     use hyperdrive_core::{PopConfig, PopPolicy};
     use hyperdrive_curve::{PredictorConfig, SharedFitCache};
     use hyperdrive_framework::{DefaultPolicy, FaultConfig, FaultEvent};
-    use hyperdrive_types::MachineId;
+    use hyperdrive_types::{Error, MachineId};
     use hyperdrive_workload::CifarWorkload;
     use proptest::prelude::*;
 

@@ -1,10 +1,13 @@
-//! Step-by-step simulation driving.
+//! The simulator's one driver loop.
 //!
-//! [`run_sim`](crate::run_sim) executes an experiment to completion in one
-//! call. [`Simulation`] exposes the same discrete-event loop one event at a
-//! time, so callers can inspect scheduler state between events — for
-//! debugging policies, teaching, recording custom telemetry, or embedding
-//! the simulator in an outer control loop.
+//! [`Simulation`] owns the engine, the future-event queue, the fault plan's
+//! reply routing and an optional simulated process kill, and
+//! [`Simulation::step`] is the only place an event is popped and handed to
+//! the engine. Every `run_*` entry point in this crate is a constructor
+//! plus `while sim.step().is_some() {}`. Stepping by hand lets callers
+//! inspect scheduler state between events — for debugging policies,
+//! teaching, recording custom telemetry, or embedding the simulator in an
+//! outer control loop.
 //!
 //! # Example
 //!
@@ -31,17 +34,32 @@
 
 use hyperdrive_framework::{
     Command, EngineEvent, ExperimentEngine, ExperimentResult, ExperimentSpec, ExperimentWorkload,
-    SchedulingPolicy,
+    FaultKind, FaultPlan, Journal, RecoveredJournal, ReplayInput, SchedulingPolicy,
 };
-use hyperdrive_types::SimTime;
+use hyperdrive_types::{Error, MachineId, Result, SimTime};
 
+use crate::faults::{ReplyFate, ReplyFaults};
 use crate::queue::EventQueue;
+use crate::recovery::SimRunOutcome;
+
+/// Everything that can happen on the simulator's virtual clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimEvent {
+    /// A completion report reaching the scheduler.
+    Engine(EngineEvent),
+    /// A scheduled machine crash.
+    Crash(MachineId),
+    /// A scheduled machine recovery.
+    Recover(MachineId),
+    /// The heartbeat timeout for a swallowed report fires.
+    StallDetected(MachineId),
+}
 
 /// What one [`Simulation::step`] processed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepOutcome {
     /// The event that was delivered to the engine.
-    pub event: EngineEvent,
+    pub event: SimEvent,
     /// The virtual time at which it occurred.
     pub time: SimTime,
 }
@@ -49,49 +67,201 @@ pub struct StepOutcome {
 /// A resumable, inspectable discrete-event simulation of one experiment.
 pub struct Simulation<'w, 'p> {
     engine: ExperimentEngine<'w, 'p>,
-    queue: EventQueue<EngineEvent>,
-    now: SimTime,
-    stopping: bool,
+    queue: EventQueue<SimEvent>,
+    /// The plan's pending stall/delay faults; `None` when it has none, so
+    /// fault-free runs route no replies.
+    reply_faults: Option<ReplyFaults>,
     /// Reusable command buffer: the engine writes each event's follow-up
     /// batch here, so the steady-state step path allocates nothing.
     cmds: Vec<Command>,
+    now: SimTime,
+    stopping: bool,
+    /// Simulated process kill: the run dies, unsealed and without a
+    /// result, once the engine has journaled this many inputs.
+    crash_after: Option<u64>,
+    crashed: bool,
 }
 
 impl<'w, 'p> Simulation<'w, 'p> {
-    /// Sets up the simulation and schedules the initial job starts.
+    /// Sets up a fault-free simulation and schedules the initial job
+    /// starts.
     pub fn new(
         policy: &'p mut dyn SchedulingPolicy,
         workload: &'w ExperimentWorkload,
         spec: ExperimentSpec,
     ) -> Self {
-        let mut engine = ExperimentEngine::new(policy, workload, spec);
-        // Worst-case heap occupancy without fault injection: each job
-        // holds at most one outstanding command (RunEpoch *or* Suspend,
-        // never both) and no token ever goes stale, so at most one future
-        // event per job is ever queued, plus nothing for Stop (it is not
-        // enqueued). One extra slot keeps a full cluster's simultaneous
-        // batch from landing exactly on capacity. Executors that inject
-        // faults must also budget for orphaned (stale-token) events — see
-        // `faults.rs`.
-        let mut queue = EventQueue::with_capacity(workload.len() + 1);
-        let now = SimTime::ZERO;
-        let mut cmds = Vec::new();
-        engine.start_into(&mut cmds);
-        let stopping = schedule(&cmds, now, &mut queue);
-        Simulation { engine, queue, now, stopping, cmds }
+        Self::with_faults(policy, workload, spec, &FaultPlan::none())
+    }
+
+    /// Sets up a simulation that injects the faults scheduled in `plan`.
+    /// With [`FaultPlan::none`] this is exactly [`Simulation::new`].
+    pub(crate) fn with_faults(
+        policy: &'p mut dyn SchedulingPolicy,
+        workload: &'w ExperimentWorkload,
+        spec: ExperimentSpec,
+        plan: &FaultPlan,
+    ) -> Self {
+        let engine = ExperimentEngine::with_fault_injection(policy, workload, spec, plan);
+        Self::assemble(engine, workload, plan, None).started()
+    }
+
+    /// Sets up a simulation that writes every engine input to `journal`
+    /// and, with `crash_after: Some(k)`, dies once `k` inputs have been
+    /// journaled, exactly as if the scheduler process had been killed.
+    pub(crate) fn with_journal(
+        policy: &'p mut dyn SchedulingPolicy,
+        workload: &'w ExperimentWorkload,
+        spec: ExperimentSpec,
+        plan: &FaultPlan,
+        journal: Journal,
+        crash_after: Option<u64>,
+    ) -> Self {
+        let engine = ExperimentEngine::with_journal(policy, workload, spec, plan, journal);
+        Self::assemble(engine, workload, plan, crash_after).started()
+    }
+
+    /// Resumes a crashed journaled run where it died.
+    ///
+    /// The journal is replayed through a fresh engine and `policy` (which
+    /// must be a new instance of the policy the dead process ran). The
+    /// future-event queue is then rebuilt by re-scheduling every
+    /// regenerated command batch: the events the dead process already
+    /// consumed come off the front in their original order and are
+    /// checked against the journal without reaching the engine. The
+    /// interrupted turn's batch is scheduled last, as the dead process
+    /// would have done, and `crash_after` may arm a further kill.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::JournalDiverged`] if replay regenerates different records
+    /// than the journal holds, or if the rebuilt event queue disagrees with
+    /// the journaled input order (wrong policy, workload, spec, or plan).
+    pub(crate) fn resume(
+        policy: &'p mut dyn SchedulingPolicy,
+        workload: &'w ExperimentWorkload,
+        spec: ExperimentSpec,
+        plan: &FaultPlan,
+        recovered: RecoveredJournal,
+        crash_after: Option<u64>,
+    ) -> Result<Self> {
+        let (engine, run) = ExperimentEngine::recover(policy, workload, spec, plan, recovered)?;
+        let mut sim = Self::assemble(engine, workload, plan, crash_after);
+        let Some(((_, last), earlier)) = run.batches.split_last() else {
+            // Header-only journal: the process died before `start` was
+            // recorded, so this is simply a fresh journaled run.
+            return Ok(sim.started());
+        };
+        for (at, batch) in earlier {
+            schedule(batch, *at, &mut sim.queue, &mut sim.reply_faults);
+        }
+        // The queue's (time, seq) order is deterministic, so the consumed
+        // events pop as an exact prefix; `inputs[0]` is `Start`.
+        for (i, input) in run.inputs.iter().enumerate().skip(1) {
+            let Some((t, ev)) = sim.queue.pop() else {
+                return Err(Error::JournalDiverged {
+                    record: i as u64,
+                    detail: "rebuilt event queue ran dry before the journaled inputs were consumed"
+                        .into(),
+                });
+            };
+            if !input_matches(input, t, ev) {
+                return Err(Error::JournalDiverged {
+                    record: i as u64,
+                    detail: format!(
+                        "rebuilt event queue produced {ev:?} at {t:?} where the journal \
+                         recorded {input:?}"
+                    ),
+                });
+            }
+        }
+        sim.now = run.now;
+        sim.cmds.extend_from_slice(last);
+        sim.end_turn();
+        Ok(sim)
+    }
+
+    /// A simulation with its queue sized and the plan's timed machine
+    /// faults scheduled, before the engine has been started.
+    fn assemble(
+        engine: ExperimentEngine<'w, 'p>,
+        workload: &ExperimentWorkload,
+        plan: &FaultPlan,
+        crash_after: Option<u64>,
+    ) -> Self {
+        let mut queue = EventQueue::with_capacity(queue_capacity(workload, plan));
+        for event in &plan.events {
+            match event.kind {
+                FaultKind::MachineCrash => queue.schedule(event.at, SimEvent::Crash(event.machine)),
+                FaultKind::MachineRecover => {
+                    queue.schedule(event.at, SimEvent::Recover(event.machine));
+                }
+                FaultKind::AgentStall { .. }
+                | FaultKind::ReplyDelay { .. }
+                | FaultKind::EngineCrash { .. } => {}
+            }
+        }
+        Simulation {
+            engine,
+            queue,
+            reply_faults: ReplyFaults::from_plan(plan),
+            cmds: Vec::new(),
+            now: SimTime::ZERO,
+            stopping: false,
+            crash_after,
+            crashed: false,
+        }
+    }
+
+    /// Starts the engine and schedules its first batch (unless the kill is
+    /// armed at input 0).
+    fn started(mut self) -> Self {
+        if self.crash_after == Some(0) {
+            self.crashed = true;
+            self.stopping = true;
+        } else {
+            self.engine.start_into(&mut self.cmds);
+            self.end_turn();
+        }
+        self
     }
 
     /// Processes the next pending event. Returns `None` once the
-    /// experiment has stopped (goal, `Tmax`, or all work drained).
+    /// experiment has stopped (goal, `Tmax`, all work drained, or the
+    /// simulated process kill).
     pub fn step(&mut self) -> Option<StepOutcome> {
         if self.stopping {
             return None;
         }
         let (t, event) = self.queue.pop()?;
         self.now = t;
-        self.engine.handle_into(event, t, &mut self.cmds);
-        self.stopping = schedule(&self.cmds, t, &mut self.queue) || self.engine.stopped();
+        let out = &mut self.cmds;
+        match event {
+            SimEvent::Engine(event) => self.engine.handle_into(event, t, out),
+            SimEvent::Crash(machine) => self.engine.inject_machine_crash_into(machine, t, out),
+            SimEvent::Recover(machine) => self.engine.inject_machine_recovery_into(machine, t, out),
+            SimEvent::StallDetected(machine) => {
+                self.engine.inject_agent_stall_into(machine, t, out)
+            }
+        }
+        self.end_turn();
         Some(StepOutcome { event, time: t })
+    }
+
+    /// Acts on the batch the engine just wrote to `cmds` at `now`.
+    ///
+    /// A kill at input `k` dies before the batch is acted on; recovery
+    /// regenerates and redelivers it. Otherwise the batch is scheduled and
+    /// the run stops on `Stop`, on a stopped engine, or once every job is
+    /// terminal — whatever is still queued then is a fault event that can
+    /// no longer affect the run.
+    fn end_turn(&mut self) {
+        if self.crash_after.is_some_and(|k| self.engine.journaled_inputs() >= k) {
+            self.crashed = true;
+            self.stopping = true;
+            return;
+        }
+        let stop = schedule(&self.cmds, self.now, &mut self.queue, &mut self.reply_faults);
+        self.stopping = stop || self.engine.stopped() || self.engine.active_job_count() == 0;
     }
 
     /// Runs at most `n` steps, returning how many were processed.
@@ -134,31 +304,82 @@ impl<'w, 'p> Simulation<'w, 'p> {
 
     /// Consumes the simulation and produces the experiment result.
     pub fn finish(self) -> ExperimentResult {
-        self.engine.into_result(self.now)
+        // Only the crate's journaled runs arm a kill, and they read the
+        // outcome through `into_outcome`.
+        self.into_outcome().result.expect("no simulated kill was armed")
+    }
+
+    /// Consumes the simulation: the result (`None` if the simulated kill
+    /// fired) and the number of engine inputs journaled.
+    pub(crate) fn into_outcome(self) -> SimRunOutcome {
+        let inputs = self.engine.journaled_inputs();
+        let result = (!self.crashed).then(|| self.engine.into_result(self.now));
+        SimRunOutcome { result, inputs }
     }
 }
 
-/// Translates engine commands into future completion events (echoing each
-/// command's token), returning whether a `Stop` was seen. Shared by
-/// [`run_sim`](crate::run_sim) and [`Simulation`].
-pub(crate) fn schedule(
+/// Worst-case future-event-queue occupancy, so the heap never reallocates
+/// mid-run. Without faults each job holds at most one outstanding command
+/// (RunEpoch *or* Suspend, never both) and no token goes stale, so at most
+/// one event per job is queued. Under faults every interruption can also
+/// orphan a stale-token event until its (delayed) due time, and a job is
+/// interrupted at most `max_retries + 1` times before it fails. The plan's
+/// timed faults add one slot each (stall detections replace the reply they
+/// swallow, so the plan length over-covers them), and one spare slot keeps
+/// a full cluster's simultaneous batch off the exact capacity.
+fn queue_capacity(workload: &ExperimentWorkload, plan: &FaultPlan) -> usize {
+    let per_job = if plan.is_empty() { 1 } else { plan.retry.max_retries as usize + 2 };
+    workload.len() * per_job + plan.events.len() + 1
+}
+
+/// Translates engine commands into future events (echoing each command's
+/// token), passing each reply through the pending stall/delay faults.
+/// Returns whether a `Stop` was seen.
+fn schedule(
     cmds: &[Command],
     now: SimTime,
-    queue: &mut EventQueue<EngineEvent>,
+    queue: &mut EventQueue<SimEvent>,
+    reply_faults: &mut Option<ReplyFaults>,
 ) -> bool {
     let mut stop = false;
     for cmd in cmds {
-        match *cmd {
-            Command::RunEpoch { job, duration, token, .. } => {
-                queue.schedule(now + duration, EngineEvent::EpochDone { job, token });
+        let (machine, due, event) = match *cmd {
+            Command::RunEpoch { job, machine, duration, token, .. } => {
+                (machine, now + duration, EngineEvent::EpochDone { job, token })
             }
-            Command::Suspend { job, latency, token, .. } => {
-                queue.schedule(now + latency, EngineEvent::SuspendDone { job, token });
+            Command::Suspend { job, machine, latency, token } => {
+                (machine, now + latency, EngineEvent::SuspendDone { job, token })
             }
-            Command::Stop => stop = true,
+            Command::Stop => {
+                stop = true;
+                continue;
+            }
+        };
+        match reply_faults.as_mut().map_or(ReplyFate::OnTime, |f| f.route(machine, due)) {
+            ReplyFate::OnTime => queue.schedule(due, SimEvent::Engine(event)),
+            ReplyFate::Delayed { arrives_at } => {
+                queue.schedule(arrives_at, SimEvent::Engine(event));
+            }
+            // The report never arrives; only the watchdog does.
+            ReplyFate::Lost { detected_at } => {
+                queue.schedule(detected_at, SimEvent::StallDetected(machine));
+            }
         }
     }
     stop
+}
+
+/// Does a popped simulator event match the journaled input at this
+/// position?
+fn input_matches(input: &ReplayInput, t: SimTime, ev: SimEvent) -> bool {
+    let journaled = match *input {
+        ReplayInput::Start => return false,
+        ReplayInput::Event { event, now } => (SimEvent::Engine(event), now),
+        ReplayInput::MachineCrash { machine, now } => (SimEvent::Crash(machine), now),
+        ReplayInput::MachineRecovery { machine, now } => (SimEvent::Recover(machine), now),
+        ReplayInput::AgentStall { machine, now } => (SimEvent::StallDetected(machine), now),
+    };
+    journaled == (ev, t)
 }
 
 #[cfg(test)]

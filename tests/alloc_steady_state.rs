@@ -13,11 +13,13 @@
 //! the O(log n) ResourceManager free-set, which never allocates after
 //! construction.
 //!
-//! This file holds exactly one `#[test]` so no sibling test can allocate
-//! concurrently and pollute the counter.
+//! Only the measuring thread's allocations count: the counter is a
+//! thread-local that the test thread arms around the measured stretch, so
+//! fit-pool workers starting up or sibling tests running concurrently
+//! cannot land in the window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use hyperdrive_core::{PopConfig, PopPolicy};
 use hyperdrive_curve::PredictorConfig;
@@ -25,22 +27,37 @@ use hyperdrive_framework::{DefaultPolicy, ExperimentSpec, ExperimentWorkload, Sc
 use hyperdrive_sim::Simulation;
 use hyperdrive_workload::CifarWorkload;
 
-/// Counts allocation events (alloc + realloc) process-wide.
+/// Counts allocation events (alloc + realloc) made by a thread while it
+/// has armed its counter.
 struct CountingAlloc;
 
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initialisers with no destructor: reading them from inside
+    // the allocator never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with` tolerates allocations during thread teardown.
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            ALLOC_EVENTS.with(|n| n.set(n.get() + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -51,8 +68,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-fn alloc_events() -> u64 {
-    ALLOC_EVENTS.load(Ordering::Relaxed)
+/// Runs `f` with this thread's counter armed and returns how many
+/// allocation events it made.
+fn count_allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    ALLOC_EVENTS.with(|n| n.set(0));
+    ARMED.with(|armed| armed.set(true));
+    let out = f();
+    ARMED.with(|armed| armed.set(false));
+    (ALLOC_EVENTS.with(Cell::get), out)
 }
 
 const JOBS: usize = 8;
@@ -73,12 +96,13 @@ fn steady_state_allocs(policy: &mut dyn SchedulingPolicy) -> (u64, u64) {
     for _ in 0..2 * JOBS {
         sim.step().expect("workload outlasts warmup");
     }
-    let before = alloc_events();
-    let mut measured = 0u64;
-    while sim.step().is_some() {
-        measured += 1;
-    }
-    (alloc_events() - before, measured)
+    count_allocs(|| {
+        let mut measured = 0u64;
+        while sim.step().is_some() {
+            measured += 1;
+        }
+        measured
+    })
 }
 
 #[test]

@@ -1,13 +1,86 @@
-//! Live-vs-simulator agreement (the Fig. 12a property at test scale): the
-//! same policy on the same experiment must produce closely matching
-//! virtual end times on both executors.
+//! Executor agreement. Live vs simulator (the Fig. 12a property at test
+//! scale): the same policy on the same experiment must produce closely
+//! matching virtual end times on both executors. Simulator entry points
+//! among themselves: every one of them must produce byte-identical output
+//! for every policy.
 
 use hyperdrive::curve::PredictorConfig;
-use hyperdrive::framework::{run_live, DefaultPolicy, ExperimentSpec, ExperimentWorkload};
+use hyperdrive::framework::{
+    run_live, DefaultPolicy, ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultPlan,
+    Journal, SchedulingPolicy,
+};
+use hyperdrive::policies::{BanditPolicy, EarlyTermConfig, EarlyTermPolicy, HyperbandPolicy};
 use hyperdrive::pop::{PopConfig, PopPolicy};
-use hyperdrive::sim::run_sim;
+use hyperdrive::sim::{run_sim, run_sim_journaled, run_sim_with_faults, Simulation};
 use hyperdrive::workload::{CifarWorkload, LunarWorkload};
 use hyperdrive::SimTime;
+
+/// Everything two runs must share to count as the same run: event-log CSV
+/// bytes, end time bits, epoch count and time to target.
+fn signature(result: &ExperimentResult) -> (Vec<u8>, u64, u64, Option<SimTime>) {
+    let mut csv = Vec::new();
+    result.events.write_csv(&mut csv).unwrap();
+    (csv, result.end_time.as_secs().to_bits(), result.total_epochs, result.time_to_target)
+}
+
+fn fresh_policy(name: &str) -> Box<dyn SchedulingPolicy> {
+    let predictor = PredictorConfig::test();
+    match name {
+        "default" => Box::new(DefaultPolicy::new()),
+        "pop" => Box::new(PopPolicy::with_config(PopConfig { predictor, ..Default::default() })),
+        "earlyterm" => Box::new(EarlyTermPolicy::with_config(EarlyTermConfig {
+            predictor,
+            ..Default::default()
+        })),
+        "bandit" => Box::new(BanditPolicy::new()),
+        "hyperband" => Box::new(HyperbandPolicy::new()),
+        _ => unreachable!("unknown policy {name}"),
+    }
+}
+
+#[test]
+fn every_sim_entry_point_agrees_for_every_policy() {
+    let workload = CifarWorkload::new().with_max_epochs(12);
+    for seed in [3u64, 8] {
+        let experiment = ExperimentWorkload::from_workload(&workload, 8, seed);
+        for machines in [1usize, 3, 8] {
+            for stop_on_target in [false, true] {
+                let spec = ExperimentSpec::new(machines)
+                    .with_seed(seed)
+                    .with_stop_on_target(stop_on_target);
+                for name in ["default", "pop", "earlyterm", "bandit", "hyperband"] {
+                    let case =
+                        format!("{name} seed {seed} machines {machines} stop {stop_on_target}");
+                    let plain = signature(&run_sim(fresh_policy(name).as_mut(), &experiment, spec));
+
+                    let mut policy = fresh_policy(name);
+                    let mut sim = Simulation::new(policy.as_mut(), &experiment, spec);
+                    while sim.step().is_some() {}
+                    assert_eq!(signature(&sim.finish()), plain, "{case}: Simulation::step");
+
+                    let faulty = run_sim_with_faults(
+                        fresh_policy(name).as_mut(),
+                        &experiment,
+                        spec,
+                        &FaultPlan::none(),
+                    );
+                    assert_eq!(signature(&faulty), plain, "{case}: run_sim_with_faults");
+
+                    let journaled = run_sim_journaled(
+                        fresh_policy(name).as_mut(),
+                        &experiment,
+                        spec,
+                        &FaultPlan::none(),
+                        Journal::disabled(),
+                        None,
+                    );
+                    let journaled = journaled.result.expect("no kill armed");
+                    assert_eq!(signature(&journaled), plain, "{case}: run_sim_journaled");
+                }
+            }
+        }
+    }
+}
 
 #[test]
 fn default_policy_agrees_across_executors() {
