@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use hyperdrive_bench::{print_table, quick_mode, results_dir};
 use hyperdrive_core::{PopConfig, PopPolicy};
-use hyperdrive_curve::ensemble::PosteriorEval;
+use hyperdrive_curve::ensemble::{PosteriorEval, RejectStats};
 use hyperdrive_curve::fit::{build_initial_walkers, fit_all_families_with, FamilyFitBuf};
 use hyperdrive_curve::mcmc::{sample_into, McmcScratch, SamplerOptions};
 use hyperdrive_curve::models::GridPoint;
@@ -139,14 +139,52 @@ fn main() {
     let mut eval = PosteriorEval::new(&pts, &ys, &mut means);
     // First run sizes every buffer; the counted run must then be clean.
     let mut rng_a = StdRng::seed_from_u64(11);
-    let _ = sample_into(|t| eval.log_posterior(t), &init, opts, &mut rng_a, &mut mcmc);
+    let _ =
+        sample_into(|t, r| eval.log_posterior_or_reject(t, r), &init, opts, &mut rng_a, &mut mcmc);
     let mut rng_b = StdRng::seed_from_u64(11);
     let before = alloc_events();
-    let _chain = sample_into(|t| eval.log_posterior(t), &init, opts, &mut rng_b, &mut mcmc);
+    let _chain =
+        sample_into(|t, r| eval.log_posterior_or_reject(t, r), &init, opts, &mut rng_b, &mut mcmc);
     let alloc_delta = alloc_events() - before;
     let proposals = (config.steps * config.walkers) as u64;
     let allocs_per_step = alloc_delta as f64 / proposals as f64;
     assert_eq!(alloc_delta, 0, "MCMC inner loop allocated {alloc_delta} times");
+
+    // ---- Early rejection: how many in-box proposals the sampler's bound
+    // stopped, and how many likelihood grid points those stops skipped,
+    // over the cold-path sampler run of every curve.
+    let mut rejects = RejectStats::default();
+    let mut grid_points = 0u64;
+    for c in &curves {
+        let obs: Vec<(f64, f64)> =
+            c.points().iter().map(|p| (f64::from(p.epoch), p.value)).collect();
+        let mut pts: Vec<GridPoint> = obs.iter().map(|&(x, _)| GridPoint::new(x)).collect();
+        pts.push(GridPoint::new(f64::from(horizon)));
+        let ys: Vec<f64> = obs.iter().map(|&(_, y)| y).collect();
+        let mut means = vec![0.0; ys.len()];
+        let mut rng = StdRng::seed_from_u64(7);
+        let fits = fit_all_families_with(&pts[..ys.len()], &ys, &mut rng, &mut nm, &mut fam);
+        let init = build_initial_walkers(&fits, config.walkers, &mut rng);
+        let mut eval = PosteriorEval::new(&pts, &ys, &mut means);
+        if !init.iter().any(|w| eval.log_posterior(w).is_finite()) {
+            continue;
+        }
+        let before = eval.reject_stats();
+        let _ = sample_into(
+            |t, r| eval.log_posterior_or_reject(t, r),
+            &init,
+            opts,
+            &mut rng,
+            &mut mcmc,
+        );
+        let after = eval.reject_stats();
+        rejects.in_box += after.in_box - before.in_box;
+        rejects.aborted += after.aborted - before.aborted;
+        rejects.points_skipped += after.points_skipped - before.points_skipped;
+        grid_points += (after.in_box - before.in_box) * ys.len() as u64;
+    }
+    let aborted_frac = rejects.aborted as f64 / rejects.in_box.max(1) as f64;
+    let skipped_frac = rejects.points_skipped as f64 / grid_points.max(1) as f64;
 
     // ---- Warm-started refit speedup through the FitService: epoch-20
     // posteriors seed the epoch-24 refits. Fresh service pairs per
@@ -235,6 +273,17 @@ fn main() {
         ]],
     );
     print_table(
+        "early rejection (cold sampler runs)",
+        &["in_box_proposals", "aborted", "aborted_frac", "points_skipped", "skipped_frac"],
+        &[vec![
+            rejects.in_box.to_string(),
+            rejects.aborted.to_string(),
+            format!("{aborted_frac:.3}"),
+            rejects.points_skipped.to_string(),
+            format!("{skipped_frac:.3}"),
+        ]],
+    );
+    print_table(
         "POP decision latency",
         &["jobs", "cold_ms", "cached_ms"],
         &[vec![
@@ -255,7 +304,12 @@ fn main() {
   "per_fit_reference_ms": {ref_ms:.4},
   "per_fit_optimized_ms": {opt_ms:.4},
   "cold_speedup": {cold_speedup:.3},
-  "cold_speedup_note": "bit-identity pins 8 powf + 4 exp + 1 ln per grid point (proposal-parameter-dependent, not memoizable); the libm floor caps the cold ratio near 1.5x on this host -- see EXPERIMENTS.md",
+  "cold_speedup_note": "measured {cold_speedup:.2}x with draws bitwise equal (asserted): grid memoization, scratch buffers and exact early rejection over the reference path",
+  "early_reject_in_box_proposals": {in_box},
+  "early_reject_aborted": {aborted},
+  "early_reject_aborted_frac": {aborted_frac:.4},
+  "early_reject_points_skipped": {skipped},
+  "early_reject_skipped_frac": {skipped_frac:.4},
   "mcmc_proposals_measured": {proposals},
   "mcmc_alloc_events": {alloc_delta},
   "allocs_per_mcmc_step": {allocs_per_step:.6},
@@ -271,6 +325,9 @@ fn main() {
   {fit_cache_fragment}
 }}
 "#,
+        in_box = rejects.in_box,
+        aborted = rejects.aborted,
+        skipped = rejects.points_skipped,
         fit_cache_fragment = hyperdrive_bench::fit_cache_json(),
     )
     .expect("json write");

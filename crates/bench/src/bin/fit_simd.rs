@@ -219,10 +219,10 @@ fn main() {
     };
     let mut eval = PosteriorEvalFast::new(&grid, &ys, &mut means, &mut tbuf, dispatched);
     let mut rng_a = StdRng::seed_from_u64(11);
-    let _ = sample_into(|t| eval.log_posterior(t), &init, opts, &mut rng_a, &mut mcmc);
+    let _ = sample_into(|t, _| eval.log_posterior(t), &init, opts, &mut rng_a, &mut mcmc);
     let mut rng_b = StdRng::seed_from_u64(11);
     let before = alloc_events();
-    let _chain = sample_into(|t| eval.log_posterior(t), &init, opts, &mut rng_b, &mut mcmc);
+    let _chain = sample_into(|t, _| eval.log_posterior(t), &init, opts, &mut rng_b, &mut mcmc);
     let alloc_delta = alloc_events() - before;
     let proposals = (config.steps * config.walkers) as u64;
     let allocs_per_step = alloc_delta as f64 / proposals as f64;

@@ -64,15 +64,24 @@ pub fn estimate_remaining_time(
     let mut confidence = 0.0;
     let mut truncated = false;
 
-    // Posterior queries cost O(draws × families); querying every single
-    // future epoch would dominate POP's per-boundary cost. A strided grid
-    // of at most ~48 query points with bucket-midpoint mass assignment
-    // approximates Eq. 2 to well under an epoch of error.
+    // A posterior query costs O(draws × families) per epoch, so querying
+    // every single future epoch would dominate POP's per-boundary cost. A
+    // strided grid of at most ~48 query points with bucket-midpoint mass
+    // assignment approximates Eq. 2 to well under an epoch of error; its
+    // CDF values come from one draw-major query over the whole grid.
     let step = (max_future_epochs / 48).max(1);
+    let mut bucket_ends = Vec::new();
     let mut prev_m: u32 = 0;
     while prev_m < max_future_epochs {
-        let m = (prev_m + step).min(max_future_epochs);
-        let cdf = posterior.prob_at_least(now_epoch + m, target).clamp(0.0, 1.0);
+        prev_m = (prev_m + step).min(max_future_epochs);
+        bucket_ends.push(prev_m);
+    }
+    let epochs: Vec<u32> = bucket_ends.iter().map(|m| now_epoch + m).collect();
+    let cdfs = posterior.prob_at_least_grid(&epochs, target);
+
+    let mut prev_m: u32 = 0;
+    for (&m, cdf) in bucket_ends.iter().zip(cdfs) {
+        let cdf = cdf.clamp(0.0, 1.0);
         // First-passage mass landing in (prev_m, m]. The posterior is not
         // exactly monotone in m (Monte Carlo noise), so negative
         // increments clamp to zero and the running CDF is kept monotone.

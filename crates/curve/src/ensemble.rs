@@ -16,6 +16,7 @@
 //! the mean at the last observation), and normalized performance cannot
 //! exceed 1 at the horizon.
 
+use crate::mcmc::RejectTest;
 use crate::models::{total_family_params, GridPoint, ALL_FAMILIES};
 
 /// Index of the noise parameter sigma in the flattened parameter vector.
@@ -293,6 +294,57 @@ fn weighted_means(
     }
 }
 
+/// The weighted-combination mean of one posterior draw `theta` at every
+/// point of `pts`, written to `out`: the draw-major sweep behind every
+/// [`crate::CurvePosterior`] query. The weight sum and the per-family
+/// hoists are computed once per draw. Wherever [`ParamView::mean`] is
+/// finite the value is bitwise equal to it (the same operations in the
+/// same order, see [`weighted_means`]); wherever it is NaN this is
+/// non-finite too: a degenerate weight sum writes NaN, and a diverging
+/// active family carries ±inf or NaN through the accumulator and the
+/// division by the (positive) weight sum.
+pub(crate) fn draw_means(theta: &[f64], pts: &[GridPoint], out: &mut [f64]) {
+    let wsum: f64 = theta[..11].iter().sum();
+    if wsum < MIN_WEIGHT_SUM || wsum.is_nan() {
+        out.fill(f64::NAN);
+        return;
+    }
+    let mut hoists = [0.0f64; 11];
+    family_hoists(theta, &mut hoists);
+    weighted_means(theta, pts, out, &hoists, wsum);
+}
+
+/// Grid points whose likelihood terms are summed between two
+/// early-rejection checks in [`PosteriorEval::log_posterior_or_reject`]:
+/// long enough to amortize the family-major mean sweep, short enough to
+/// stop soon after a bound proves the move rejected.
+const REJECT_CHUNK: usize = 4;
+
+/// Upper bound on the finished log-likelihood `partial + t_1 + … + t_m -
+/// ln σ` when every remaining term `t = norm - r²/(2σ²)` is at most `norm`.
+/// The reference sums the terms one at a time, and rounding is monotone,
+/// so adding `norm` in place of each term in the same order gives a value
+/// no smaller than the reference's — exactly, in floating point.
+#[inline]
+fn loglik_bound(partial: f64, remaining: usize, norm: f64, sln: f64) -> f64 {
+    let mut bound = partial;
+    for _ in 0..remaining {
+        bound += norm;
+    }
+    bound - sln
+}
+
+/// Counters of the early rejections a [`PosteriorEval`] has made.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RejectStats {
+    /// Evaluations that passed the prior-box test.
+    pub in_box: u64,
+    /// Evaluations stopped early by the sampler's rejection test.
+    pub aborted: u64,
+    /// Observation points whose likelihood terms those stops skipped.
+    pub points_skipped: u64,
+}
+
 /// Allocation-free, grid-memoized evaluator for [`log_posterior`].
 ///
 /// Construct one per fit over the fixed observation grid plus the horizon;
@@ -308,6 +360,8 @@ pub struct PosteriorEval<'a> {
     ys: &'a [f64],
     /// Reusable mean buffer, one slot per observation.
     means: &'a mut [f64],
+    /// Early-rejection counters.
+    stats: RejectStats,
 }
 
 impl<'a> PosteriorEval<'a> {
@@ -324,18 +378,42 @@ impl<'a> PosteriorEval<'a> {
         assert!(!ys.is_empty(), "need at least one observation");
         assert_eq!(pts.len(), ys.len() + 1, "grid must be observations + horizon");
         assert_eq!(means.len(), ys.len(), "mean buffer must match observations");
-        PosteriorEval { pts, ys, means }
+        PosteriorEval { pts, ys, means, stats: RejectStats::default() }
+    }
+
+    /// The early rejections made so far.
+    #[must_use]
+    pub fn reject_stats(&self) -> RejectStats {
+        self.stats
     }
 
     /// The log-posterior of `theta` over the memoized grid. Bitwise equal
     /// to `log_posterior(theta, obs, horizon)` for the grid this evaluator
     /// was built from.
     pub fn log_posterior(&mut self, theta: &[f64]) -> f64 {
+        self.log_posterior_or_reject(theta, &mut |_| false)
+    }
+
+    /// [`Self::log_posterior`] for the sampler's early rejection (see
+    /// [`crate::mcmc::sample_into`]). Before the likelihood and after every
+    /// chunk of observations it hands `reject` an upper bound on the
+    /// finished value; once `reject` answers `true` it stops and returns
+    /// `-inf`. Otherwise the result is bitwise the reference value.
+    pub fn log_posterior_or_reject(&mut self, theta: &[f64], reject: &mut RejectTest<'_>) -> f64 {
         if !in_prior_box_fast(theta) {
             return f64::NEG_INFINITY;
         }
+        self.stats.in_box += 1;
         let sigma = theta[SIGMA_INDEX];
         let n = self.ys.len();
+        let sln = sigma.ln();
+        let inv2s2 = 1.0 / (2.0 * sigma * sigma);
+        let norm = -sln - 0.5 * (2.0 * std::f64::consts::PI).ln();
+        // Even a perfect fit may lose: no mean needs evaluating.
+        if reject(loglik_bound(0.0, n, norm, sln)) {
+            return self.abort(n);
+        }
+
         let wsum: f64 = theta[..11].iter().sum();
         let mut hoists = [0.0f64; 11];
         family_hoists(theta, &mut hoists);
@@ -351,24 +429,43 @@ impl<'a> PosteriorEval<'a> {
             return f64::NEG_INFINITY;
         }
 
-        weighted_means(theta, &self.pts[..n - 1], &mut self.means[..n - 1], &hoists, wsum);
-        // The last observation's mean was already computed by the 2-point
-        // pass above — the identical operation sequence, so reuse it.
-        self.means[n - 1] = mean_last;
-
+        // The likelihood in observation order, one chunk of means at a
+        // time. The last observation's mean was already computed by the
+        // 2-point pass above — the identical operation sequence, so reuse
+        // it.
         let mut loglik = 0.0;
-        let sln = sigma.ln();
-        let inv2s2 = 1.0 / (2.0 * sigma * sigma);
-        let norm = -sln - 0.5 * (2.0 * std::f64::consts::PI).ln();
-        for (y, m) in self.ys.iter().zip(self.means.iter()) {
-            if !m.is_finite() {
-                return f64::NEG_INFINITY;
+        let mut start = 0;
+        while start < n {
+            let end = (start + REJECT_CHUNK).min(n);
+            let fresh = end.min(n - 1);
+            if start < fresh {
+                let (pts, means) = (&self.pts[start..fresh], &mut self.means[start..fresh]);
+                weighted_means(theta, pts, means, &hoists, wsum);
             }
-            let r = y - m;
-            loglik += norm - r * r * inv2s2;
+            if end == n {
+                self.means[n - 1] = mean_last;
+            }
+            for (y, m) in self.ys[start..end].iter().zip(&self.means[start..end]) {
+                if !m.is_finite() {
+                    return f64::NEG_INFINITY;
+                }
+                let r = y - m;
+                loglik += norm - r * r * inv2s2;
+            }
+            start = end;
+            if start < n && reject(loglik_bound(loglik, n - start, norm, sln)) {
+                return self.abort(n - start);
+            }
         }
         loglik -= sln;
         loglik
+    }
+
+    /// Records an early stop that skipped `skipped` observations.
+    fn abort(&mut self, skipped: usize) -> f64 {
+        self.stats.aborted += 1;
+        self.stats.points_skipped += skipped as u64;
+        f64::NEG_INFINITY
     }
 }
 

@@ -10,6 +10,11 @@
 //! The implementation uses the standard two-half ("red-black") update: the
 //! ensemble is split in two, and each half is moved by stretching toward
 //! walkers sampled from the *other* half, which keeps the update valid.
+//!
+//! [`sample`] is the reference sampler. [`sample_into`], the production
+//! sampler, runs the same chain allocation-free and lets its evaluator stop
+//! a proposal early once an upper bound on the log-probability proves the
+//! move rejected (exact early rejection; see DESIGN.md §8).
 
 use rand::Rng;
 
@@ -210,11 +215,28 @@ impl<'a> FlatChain<'a> {
     }
 }
 
-/// Allocation-free variant of [`sample`]: identical proposal arithmetic,
-/// identical RNG call sequence, identical accept/reject logic — bitwise
-/// the same retained draws — with walker state and retained draws living
-/// in `scratch`. The draw buffer is reserved up front from the retention
-/// schedule, so the sampling loop itself never touches the allocator.
+/// The early-rejection test [`sample_into`] hands its evaluator with every
+/// proposal. The evaluator calls it with an upper bound on the value it is
+/// computing; `true` means the move is certainly rejected whatever the
+/// exact value, so the evaluator may stop and return `-inf`.
+pub type RejectTest<'a> = dyn FnMut(f64) -> bool + 'a;
+
+/// Allocation-free variant of [`sample`] with exact early rejection:
+/// identical proposal arithmetic, identical RNG call sequence, identical
+/// accept/reject decisions — bitwise the same retained draws — with
+/// walker state and retained draws living in `scratch`. The draw buffer
+/// is reserved up front from the retention schedule, so the sampling loop
+/// itself never touches the allocator.
+///
+/// `log_prob(theta, reject)` returns the log-probability of `theta`. It
+/// may call `reject(bound)` with any `bound` that is no less than the
+/// value it would return, and stop (returning `-inf`) once the call
+/// answers `true`; an evaluator that never calls it is the plain sampler.
+/// The answer is `true` only when even `bound` fails the acceptance test
+/// against the accept draw `u`. That draw is taken at the first call whose
+/// bound proves `log_accept < 0` — exactly the proposals on which
+/// [`sample`] draws it — and reused for the rest of the proposal, so the
+/// RNG stream and every decision match the reference.
 ///
 /// # Panics
 ///
@@ -228,7 +250,7 @@ pub fn sample_into<'s, F, R>(
     s: &'s mut McmcScratch,
 ) -> FlatChain<'s>
 where
-    F: FnMut(&[f64]) -> f64,
+    F: FnMut(&[f64], &mut RejectTest<'_>) -> f64,
     R: Rng + ?Sized,
 {
     let n_walkers = init.len();
@@ -242,7 +264,7 @@ where
     s.lps.reserve(n_walkers);
     for w in init {
         s.positions.extend_from_slice(w);
-        s.lps.push(log_prob(w));
+        s.lps.push(log_prob(w, &mut |_| false));
     }
     assert!(
         s.lps.iter().any(|lp| lp.is_finite()),
@@ -298,10 +320,32 @@ where
                     let pj = s.positions[j * dim + d];
                     s.proposal[d] = pj + z * (s.positions[i * dim + d] - pj);
                 }
-                let lp_new = log_prob(&s.proposal);
+                let stretch = (dim as f64 - 1.0) * z.ln();
+                let lp_i = s.lps[i];
+                // `ln u` once drawn: at most one accept draw per proposal.
+                let mut ln_u: Option<f64> = None;
+                let lp_new = log_prob(&s.proposal, &mut |bound| {
+                    // `log_accept` is monotone in `lp_new` in floating
+                    // point, so this caps it. Below zero, the reference
+                    // draws `u` too, and rejects if `ln u` reaches the cap.
+                    let cap = stretch + bound - lp_i;
+                    if cap.is_nan() || cap >= 0.0 {
+                        return false;
+                    }
+                    *ln_u.get_or_insert_with(|| rng.gen::<f64>().ln()) >= cap
+                });
                 proposed += 1;
-                let log_accept = (dim as f64 - 1.0) * z.ln() + lp_new - s.lps[i];
-                if lp_new.is_finite() && log_accept >= 0.0 || rng.gen::<f64>().ln() < log_accept {
+                let log_accept = stretch + lp_new - lp_i;
+                let accept = match ln_u {
+                    // A drawn `u` means a bound already proved
+                    // `log_accept < 0`: the reference's first clause fails.
+                    Some(ln_u) => ln_u < log_accept,
+                    None => {
+                        lp_new.is_finite() && log_accept >= 0.0
+                            || rng.gen::<f64>().ln() < log_accept
+                    }
+                };
+                if accept {
                     s.positions[i * dim..(i + 1) * dim].copy_from_slice(&s.proposal);
                     s.lps[i] = lp_new;
                     accepted += 1;
@@ -435,7 +479,7 @@ mod tests {
 
             let mut rng_b = StdRng::seed_from_u64(23);
             let init_b = init_walkers(&mut rng_b, 16, 3, 0.5);
-            let flat = sample_into(gaussian_lp, &init_b, opts, &mut rng_b, &mut scratch);
+            let flat = sample_into(|x, _| gaussian_lp(x), &init_b, opts, &mut rng_b, &mut scratch);
 
             assert_eq!(reference.draws.len(), flat.n_draws());
             for (i, d) in reference.draws.iter().enumerate() {
@@ -444,6 +488,50 @@ mod tests {
             assert_eq!(reference.log_probs, flat.log_probs());
             assert_eq!(reference.acceptance_rate.to_bits(), flat.acceptance_rate.to_bits());
         }
+    }
+
+    /// A standard normal whose log-density is summed term by term and
+    /// offers the partial sum (every remaining term is `<= 0`) as its
+    /// early-rejection bound before each term.
+    fn gaussian_lp_bounded(x: &[f64], reject: &mut RejectTest<'_>, aborts: &mut usize) -> f64 {
+        let mut acc = 0.0;
+        for v in x {
+            if reject(-0.5 * acc) {
+                *aborts += 1;
+                return f64::NEG_INFINITY;
+            }
+            acc += v * v;
+        }
+        -0.5 * acc
+    }
+
+    #[test]
+    fn early_rejection_keeps_the_reference_chain() {
+        let mut scratch = McmcScratch::default();
+        let opts = SamplerOptions { steps: 60, burn_in_frac: 0.3, thin: 2, stretch: 2.0 };
+        // A wide start puts most proposals far out in the tails.
+        let mut rng_a = StdRng::seed_from_u64(31);
+        let init = init_walkers(&mut rng_a, 16, 6, 4.0);
+        let reference = sample(gaussian_lp, init.clone(), opts, &mut rng_a);
+
+        let mut rng_b = StdRng::seed_from_u64(31);
+        let init_b = init_walkers(&mut rng_b, 16, 6, 4.0);
+        let mut aborts = 0;
+        let flat = sample_into(
+            |x, reject| gaussian_lp_bounded(x, reject, &mut aborts),
+            &init_b,
+            opts,
+            &mut rng_b,
+            &mut scratch,
+        );
+        for (i, d) in reference.draws.iter().enumerate() {
+            assert_eq!(d.as_slice(), flat.draw(i), "draw {i} diverged");
+        }
+        assert_eq!(reference.log_probs, flat.log_probs());
+        assert_eq!(reference.acceptance_rate.to_bits(), flat.acceptance_rate.to_bits());
+        assert!(aborts > 0, "no proposal was rejected early");
+        // The RNG streams stayed in lockstep to the end.
+        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
     }
 
     #[test]
@@ -459,7 +547,8 @@ mod tests {
         let init: Vec<Vec<f64>> =
             (0..8).map(|i| if i % 2 == 0 { vec![100.0] } else { vec![0.1 * i as f64] }).collect();
         let mut scratch = McmcScratch::default();
-        let flat = sample_into(lp, &init, SamplerOptions::default(), &mut rng, &mut scratch);
+        let flat =
+            sample_into(|x, _| lp(x), &init, SamplerOptions::default(), &mut rng, &mut scratch);
         for i in 0..flat.n_draws() {
             assert!(flat.draw(i)[0].abs() < 5.0);
         }

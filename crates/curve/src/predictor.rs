@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 
 use hyperdrive_types::{stats, Error, LearningCurve, Result};
 
-use crate::ensemble::{dimension, log_posterior, ParamView, PosteriorEval};
+use crate::ensemble::{dimension, draw_means, log_posterior, PosteriorEval};
 use crate::ensemble::{FAMILY_OFFSETS, SIGMA_BOUNDS, SIGMA_INDEX};
 use crate::fastpath::{FastGrid, PosteriorEvalFast};
 use crate::fit;
@@ -313,8 +313,9 @@ impl CurvePredictor {
                 return Err(Error::CurveFit("no valid initialization found".into()));
             }
 
+            // The fast evaluator offers no early-rejection bound.
             let chain = sample_into(
-                |theta| eval.log_posterior(theta),
+                |theta, _| eval.log_posterior(theta),
                 &init,
                 SamplerOptions {
                     steps: self.config.steps,
@@ -354,7 +355,7 @@ impl CurvePredictor {
         }
 
         let chain = sample_into(
-            |theta| eval.log_posterior(theta),
+            |theta, reject| eval.log_posterior_or_reject(theta, reject),
             &init,
             SamplerOptions {
                 steps: self.config.steps,
@@ -423,7 +424,7 @@ impl CurvePredictor {
         }
 
         let chain = sample_into(
-            |theta| eval.log_posterior(theta),
+            |theta, reject| eval.log_posterior_or_reject(theta, reject),
             &init,
             SamplerOptions {
                 steps: self.config.warm_steps,
@@ -494,7 +495,7 @@ impl CurvePredictor {
         }
 
         let chain = sample_into(
-            |theta| eval.log_posterior(theta),
+            |theta, _| eval.log_posterior(theta),
             &init,
             SamplerOptions {
                 steps: self.config.warm_steps,
@@ -741,74 +742,84 @@ impl CurvePosterior {
 
     /// Expected (posterior-mean) performance at `epoch`.
     pub fn expected(&self, epoch: u32) -> f64 {
-        let x = f64::from(epoch);
-        let vals: Vec<f64> = self
-            .draws
-            .iter()
-            .map(|t| ParamView::new(t).mean(x))
-            .filter(|v| v.is_finite())
-            .collect();
-        stats::mean(&vals).unwrap_or(f64::NAN)
+        stats::mean(&self.finite_means_at(epoch).0).unwrap_or(f64::NAN)
     }
 
     /// Standard deviation of the predicted mean curve at `epoch` across
     /// posterior draws — the paper's "prediction accuracy" (PA) diagnostic.
     pub fn prediction_std(&self, epoch: u32) -> f64 {
-        let x = f64::from(epoch);
-        let vals: Vec<f64> = self
-            .draws
-            .iter()
-            .map(|t| ParamView::new(t).mean(x))
-            .filter(|v| v.is_finite())
-            .collect();
-        stats::std_dev(&vals).unwrap_or(f64::NAN)
+        stats::std_dev(&self.finite_means_at(epoch).0).unwrap_or(f64::NAN)
     }
 
     /// Posterior-predictive probability `P(y(epoch) >= target | y(1:n))`
     /// (Eq. 1 of the paper), marginalizing over model parameters and
     /// observation noise.
     pub fn prob_at_least(&self, epoch: u32, target: f64) -> f64 {
-        let x = f64::from(epoch);
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for theta in &self.draws {
-            let view = ParamView::new(theta);
-            let m = view.mean(x);
-            if !m.is_finite() {
-                continue;
+        self.prob_at_least_grid(&[epoch], target)[0]
+    }
+
+    /// [`Self::prob_at_least`] at every epoch of `epochs`, in one
+    /// draw-major sweep: each draw's weight sum and parameter-only terms
+    /// are computed once for the whole grid rather than once per epoch.
+    /// Bitwise equal to querying the epochs one at a time.
+    pub fn prob_at_least_grid(&self, epochs: &[u32], target: f64) -> Vec<f64> {
+        let mut total = vec![0.0; epochs.len()];
+        let mut count = vec![0usize; epochs.len()];
+        self.sweep(epochs, |means, sigma| {
+            for ((m, t), c) in means.iter().zip(&mut total).zip(&mut count) {
+                if m.is_finite() {
+                    *t += stats::normal_cdf((m - target) / sigma);
+                    *c += 1;
+                }
             }
-            let sigma = view.sigma();
-            total += stats::normal_cdf((m - target) / sigma);
-            count += 1;
-        }
-        if count == 0 {
-            0.0
-        } else {
-            total / count as f64
-        }
+        });
+        total.iter().zip(&count).map(|(t, &c)| if c == 0 { 0.0 } else { t / c as f64 }).collect()
     }
 
     /// Convenience: `(expected, prediction_std, prob_at_least)` at one
     /// epoch, sharing the per-draw curve evaluations.
     pub fn summary_at(&self, epoch: u32, target: f64) -> (f64, f64, f64) {
-        let x = f64::from(epoch);
-        let mut means = Vec::with_capacity(self.draws.len());
-        let mut prob = 0.0;
-        for theta in &self.draws {
-            let view = ParamView::new(theta);
-            let m = view.mean(x);
-            if !m.is_finite() {
-                continue;
-            }
-            prob += stats::normal_cdf((m - target) / view.sigma());
-            means.push(m);
-        }
+        let (means, sigmas) = self.finite_means_at(epoch);
         if means.is_empty() {
             return (f64::NAN, f64::NAN, 0.0);
+        }
+        let mut prob = 0.0;
+        for (m, sigma) in means.iter().zip(&sigmas) {
+            prob += stats::normal_cdf((m - target) / sigma);
         }
         let e = stats::mean(&means).unwrap_or(f64::NAN);
         let s = stats::std_dev(&means).unwrap_or(f64::NAN);
         (e, s, prob / means.len() as f64)
+    }
+
+    /// The finite per-draw means at `epoch` and their draws' sigmas, in
+    /// draw order.
+    fn finite_means_at(&self, epoch: u32) -> (Vec<f64>, Vec<f64>) {
+        let mut means = Vec::with_capacity(self.draws.len());
+        let mut sigmas = Vec::with_capacity(self.draws.len());
+        self.sweep(&[epoch], |m, sigma| {
+            if m[0].is_finite() {
+                means.push(m[0]);
+                sigmas.push(sigma);
+            }
+        });
+        (means, sigmas)
+    }
+
+    /// The one posterior-evaluation path: hands `visit` every draw's mean
+    /// curve over `epochs` (non-finite where the draw's mean is undefined)
+    /// together with its sigma, draw by draw in order.
+    fn sweep(&self, epochs: &[u32], mut visit: impl FnMut(&[f64], f64)) {
+        if epochs.is_empty() {
+            return;
+        }
+        let pts: Vec<GridPoint> = epochs.iter().map(|&e| GridPoint::new(f64::from(e))).collect();
+        let mut means = vec![0.0; pts.len()];
+        for theta in &self.draws {
+            assert_eq!(theta.len(), dimension(), "parameter vector has wrong length");
+            draw_means(theta, &pts, &mut means);
+            visit(&means, theta[SIGMA_INDEX]);
+        }
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! The curve-fit hot path spends almost all of its time in `exp`/`ln`/`powf`
 //! over small slices (one entry per epoch-grid point). libm evaluates those
-//! one scalar at a time, which caps the cold-fit speedup of the zero-alloc
-//! hot path near 1.5× (the "libm Amdahl floor" documented in EXPERIMENTS.md).
+//! one scalar at a time, which caps the per-grid-point speedup of the
+//! bit-identical hot path near 1.5× (the "libm Amdahl floor" documented in
+//! EXPERIMENTS.md).
 //!
 //! This module provides slice-oriented `exp`, `ln` and `pow` built from
 //! fixed-order polynomial kernels with the following contract:

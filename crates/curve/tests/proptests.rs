@@ -461,3 +461,328 @@ mod service_equivalence {
         }
     }
 }
+
+mod early_rejection {
+    use super::*;
+    use hyperdrive_curve::ensemble::{log_posterior, PosteriorEval};
+    use hyperdrive_curve::fit::{build_default_walkers, build_initial_walkers, fit_all_families};
+    use hyperdrive_curve::mcmc::{sample, sample_into, McmcScratch, SamplerOptions};
+    use hyperdrive_curve::models::GridPoint;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The memoized grid (observations, then the horizon) of `obs`.
+    fn grid(obs: &[(f64, f64)], horizon: f64) -> (Vec<GridPoint>, Vec<f64>) {
+        let last_x = obs.last().unwrap().0;
+        let mut pts: Vec<GridPoint> = obs.iter().map(|&(x, _)| GridPoint::new(x)).collect();
+        pts.push(GridPoint::new(horizon.max(last_x)));
+        (pts, obs.iter().map(|&(_, y)| y).collect())
+    }
+
+    /// An adversarial observed curve: `shape` 0 rises, 1 falls, 2 sits
+    /// just under the ceiling, 3 is a noiseless power law (its posterior
+    /// wants a tiny sigma).
+    fn adversarial_obs(shape: u32, n: usize, level: f64) -> Vec<(f64, f64)> {
+        (1..=n)
+            .map(|e| {
+                let x = e as f64;
+                let y = match shape {
+                    0 => level - (level - 0.05) * x.powf(-0.7),
+                    1 => level * x.powf(-0.4),
+                    2 => 0.995 - 0.01 * x.powf(-1.0),
+                    _ => level - 0.5 * level * x.powf(-1.0),
+                };
+                (x, y)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every bound the evaluator offers the rejection test is no less
+        /// than the value it then completes — compared as exact f64
+        /// values — and the completed value is bitwise the reference
+        /// log-posterior. Tiny sigmas make the likelihood terms, and so
+        /// the gap between bound and value, as large as the box allows.
+        #[test]
+        fn every_offered_bound_caps_the_completed_value(
+            thetas in proptest::collection::vec(theta_in_box(), 1..4),
+            tiny_sigma in SIGMA_BOUNDS.0..2e-3,
+            use_tiny in 0u32..2,
+            values in proptest::collection::vec(0.0f64..=1.0, 1..40),
+            horizon in 1.0f64..500.0,
+        ) {
+            let obs: Vec<(f64, f64)> =
+                values.iter().enumerate().map(|(i, v)| (i as f64 + 1.0, *v)).collect();
+            let (pts, ys) = grid(&obs, horizon);
+            let mut means = vec![0.0; ys.len()];
+            let mut eval = PosteriorEval::new(&pts, &ys, &mut means);
+            for theta in &thetas {
+                let mut theta = theta.clone();
+                if use_tiny == 1 {
+                    theta[SIGMA_INDEX] = tiny_sigma;
+                }
+                let mut bounds = Vec::new();
+                let value = eval.log_posterior_or_reject(&theta, &mut |b| {
+                    bounds.push(b);
+                    false
+                });
+                let reference = log_posterior(&theta, &obs, horizon.max(obs.last().unwrap().0));
+                prop_assert_eq!(value.to_bits(), reference.to_bits());
+                for b in &bounds {
+                    prop_assert!(*b >= value, "bound {} below completed value {}", b, value);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The production sampler with early rejection and the reference
+        /// sampler give bitwise-equal draws, log-probabilities and
+        /// acceptance rates, and leave the RNG at the same point — on
+        /// curves where most proposals die early: falling, near-ceiling,
+        /// and noiseless ones whose walkers start at a tiny sigma.
+        #[test]
+        fn early_rejecting_chain_equals_reference_chain(
+            seed in 0u64..u64::MAX,
+            shape in 0u32..4,
+            n in 4usize..30,
+            level in 0.2f64..0.9,
+            horizon in 40.0f64..300.0,
+        ) {
+            let obs = adversarial_obs(shape, n, level);
+            let horizon = horizon.max(n as f64 + 1.0);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let fits = fit_all_families(&obs, &mut rng);
+            let mut init = build_initial_walkers(&fits, 32, &mut rng);
+            if shape == 3 {
+                for w in &mut init {
+                    w[SIGMA_INDEX] = 2.0 * SIGMA_BOUNDS.0;
+                }
+            }
+            if !init.iter().any(|w| log_posterior(w, &obs, horizon).is_finite()) {
+                init = build_default_walkers(32, &mut rng);
+            }
+            assert_some_walker_finite(&init, &obs, horizon)?;
+            let opts = SamplerOptions { steps: 40, burn_in_frac: 0.3, thin: 2, stretch: 2.0 };
+
+            let mut rng_ref = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let reference =
+                sample(|t| log_posterior(t, &obs, horizon), init.clone(), opts, &mut rng_ref);
+
+            let (pts, ys) = grid(&obs, horizon);
+            let mut means = vec![0.0; ys.len()];
+            let mut eval = PosteriorEval::new(&pts, &ys, &mut means);
+            let mut scratch = McmcScratch::default();
+            let mut rng_fast = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let chain = sample_into(
+                |t, reject| eval.log_posterior_or_reject(t, reject),
+                &init,
+                opts,
+                &mut rng_fast,
+                &mut scratch,
+            );
+            prop_assert_eq!(reference.draws.len(), chain.n_draws());
+            for (i, d) in reference.draws.iter().enumerate() {
+                prop_assert_eq!(d.as_slice(), chain.draw(i), "draw {} diverged", i);
+            }
+            let ref_bits: Vec<u64> = reference.log_probs.iter().map(|v| v.to_bits()).collect();
+            let bits: Vec<u64> = chain.log_probs().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(ref_bits, bits);
+            prop_assert_eq!(
+                reference.acceptance_rate.to_bits(),
+                chain.acceptance_rate.to_bits()
+            );
+            prop_assert_eq!(rng_ref.gen::<u64>(), rng_fast.gen::<u64>());
+        }
+    }
+
+    /// The chain test's curves always admit a walker with finite
+    /// log-posterior; a failure here is a broken strategy, not a skip.
+    fn assert_some_walker_finite(
+        init: &[Vec<f64>],
+        obs: &[(f64, f64)],
+        horizon: f64,
+    ) -> Result<(), TestCaseError> {
+        prop_assert!(
+            init.iter().any(|w| log_posterior(w, obs, horizon).is_finite()),
+            "no finite initial walker"
+        );
+        Ok(())
+    }
+
+    /// The adversarial chains above really do exercise early rejection:
+    /// on each shape, a sizeable share of in-box proposals stops early.
+    #[test]
+    fn adversarial_shapes_mostly_stop_early() {
+        for shape in 0..4 {
+            let obs = adversarial_obs(shape, 20, 0.7);
+            let mut rng = StdRng::seed_from_u64(3);
+            let fits = fit_all_families(&obs, &mut rng);
+            let mut init = build_initial_walkers(&fits, 32, &mut rng);
+            if !init.iter().any(|w| log_posterior(w, &obs, 120.0).is_finite()) {
+                init = build_default_walkers(32, &mut rng);
+            }
+            let (pts, ys) = grid(&obs, 120.0);
+            let mut means = vec![0.0; ys.len()];
+            let mut eval = PosteriorEval::new(&pts, &ys, &mut means);
+            let mut scratch = McmcScratch::default();
+            let opts = SamplerOptions { steps: 40, burn_in_frac: 0.3, thin: 2, stretch: 2.0 };
+            let _ = sample_into(
+                |t, reject| eval.log_posterior_or_reject(t, reject),
+                &init,
+                opts,
+                &mut rng,
+                &mut scratch,
+            );
+            let stats = eval.reject_stats();
+            assert!(
+                stats.aborted * 4 >= stats.in_box,
+                "shape {shape}: only {} of {} in-box proposals stopped early",
+                stats.aborted,
+                stats.in_box
+            );
+        }
+    }
+}
+
+mod grid_query {
+    use super::*;
+    use hyperdrive_curve::ensemble::{ParamView, FAMILY_OFFSETS};
+    use hyperdrive_curve::CurvePosterior;
+    use hyperdrive_types::stats;
+
+    /// Offset of the pow4 block (`c, a, b, alpha`) and of the vapor
+    /// pressure block (`a, b, c`) in theta.
+    const POW4: usize = FAMILY_OFFSETS[1];
+    const VAPOR: usize = FAMILY_OFFSETS[9];
+
+    /// Corrupts a draw: 0 leaves it, 1 shrinks the weight sum below the
+    /// minimum, 2 sets a NaN weight, 3 makes pow4 evaluate to -inf, 4 makes
+    /// vapor pressure evaluate to +inf, 5 does both, 6 gives one weight a
+    /// huge value, 7 zeroes and negates some weights.
+    fn corrupt(theta: &mut [f64], kind: u32) {
+        match kind {
+            1 => theta[..11].iter_mut().for_each(|w| *w = 1e-5),
+            2 => theta[4] = f64::NAN,
+            3 | 5 => {
+                theta[1] = 0.5;
+                theta[POW4 + 1] = 0.0;
+                theta[POW4 + 2] = 0.0;
+                if kind == 5 {
+                    theta[9] = 0.5;
+                    theta[VAPOR] = 1000.0;
+                }
+            }
+            4 => {
+                theta[9] = 0.5;
+                theta[VAPOR] = 1000.0;
+            }
+            6 => theta[7] = 1e308,
+            7 => {
+                theta[0] = 0.0;
+                theta[3] = -0.25;
+            }
+            _ => {}
+        }
+    }
+
+    /// The pre-grid `CurvePosterior::prob_at_least`: one epoch per call,
+    /// every draw's mean through `ParamView::mean`.
+    fn oracle_prob(draws: &[Vec<f64>], epoch: u32, target: f64) -> f64 {
+        let x = f64::from(epoch);
+        let mut total = 0.0;
+        let mut count = 0usize;
+        for theta in draws {
+            let view = ParamView::new(theta);
+            let m = view.mean(x);
+            if !m.is_finite() {
+                continue;
+            }
+            total += stats::normal_cdf((m - target) / view.sigma());
+            count += 1;
+        }
+        if count == 0 {
+            0.0
+        } else {
+            total / count as f64
+        }
+    }
+
+    /// The finite `ParamView::mean` values at `epoch`, in draw order.
+    fn oracle_means(draws: &[Vec<f64>], epoch: u32) -> Vec<f64> {
+        let x = f64::from(epoch);
+        draws.iter().map(|t| ParamView::new(t).mean(x)).filter(|v| v.is_finite()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The draw-major grid query equals the per-epoch oracle bit for
+        /// bit, for arbitrary draws including degenerate weight sums, NaN
+        /// weights and families that evaluate to ±inf; so do the
+        /// single-epoch queries routed through the same sweep.
+        #[test]
+        fn grid_query_equals_per_epoch_oracle(
+            raw in proptest::collection::vec((theta_in_box(), 0u32..10), 1..12),
+            epochs in proptest::collection::vec(1u32..400, 1..60),
+            target in -0.5f64..1.5,
+        ) {
+            let draws: Vec<Vec<f64>> = raw
+                .into_iter()
+                .map(|(mut theta, kind)| {
+                    corrupt(&mut theta, kind);
+                    theta
+                })
+                .collect();
+            let posterior = CurvePosterior::from_parts(draws.clone(), 10, 400, 0.5, false);
+            let grid = posterior.prob_at_least_grid(&epochs, target);
+            prop_assert_eq!(grid.len(), epochs.len());
+            for (&epoch, p) in epochs.iter().zip(&grid) {
+                let oracle = oracle_prob(&draws, epoch, target);
+                prop_assert_eq!(p.to_bits(), oracle.to_bits(), "epoch {}", epoch);
+                prop_assert_eq!(
+                    posterior.prob_at_least(epoch, target).to_bits(),
+                    oracle.to_bits()
+                );
+                let means = oracle_means(&draws, epoch);
+                let e = stats::mean(&means).unwrap_or(f64::NAN);
+                let s = stats::std_dev(&means).unwrap_or(f64::NAN);
+                prop_assert_eq!(posterior.expected(epoch).to_bits(), e.to_bits());
+                prop_assert_eq!(posterior.prediction_std(epoch).to_bits(), s.to_bits());
+                let (se, ss, sp) = posterior.summary_at(epoch, target);
+                if means.is_empty() {
+                    prop_assert!(se.is_nan() && ss.is_nan() && sp == 0.0);
+                } else {
+                    prop_assert_eq!(se.to_bits(), e.to_bits());
+                    prop_assert_eq!(ss.to_bits(), s.to_bits());
+                    prop_assert_eq!(sp.to_bits(), oracle.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn corruptions_reach_the_non_finite_cases() {
+        let mut theta = Vec::with_capacity(dimension());
+        theta.extend(std::iter::repeat_n(1.0 / 11.0, 11));
+        theta.push(0.05);
+        for f in ALL_FAMILIES {
+            theta.extend(f.default_params());
+        }
+        let mean_with = |kind: u32| {
+            let mut t = theta.clone();
+            corrupt(&mut t, kind);
+            ParamView::new(&t).mean(50.0)
+        };
+        assert!(mean_with(0).is_finite());
+        for kind in 1..=5 {
+            assert!(mean_with(kind).is_nan(), "corruption {kind} left the mean finite");
+        }
+        assert_eq!(ALL_FAMILIES[1].eval(50.0, &[0.6, 0.0, 0.0, 0.5]), f64::NEG_INFINITY);
+        assert_eq!(ALL_FAMILIES[9].eval(50.0, &[1000.0, -1.0, 0.05]), f64::INFINITY);
+    }
+}
