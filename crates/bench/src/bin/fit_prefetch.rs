@@ -1,9 +1,11 @@
 //! Benchmarks speculative ahead-of-boundary fit prefetching
 //! (`fit_prefetch`): the same POP schedule is simulated with prefetch off
-//! and forced on, at 1 and 4 fit threads. Reports the boundary-stall
-//! distribution before/after (wall-clock callers spent blocked in
-//! `fit_batch`, i.e. submit→posterior-ready latency), speculation hit and
-//! waste rates, pool idle fraction, and a byte-compare of all four event
+//! and on (the default), at 1 and 4 fit threads. Reports the
+//! boundary-stall distribution before/after (wall-clock callers spent
+//! blocked in `fit_batch`, i.e. submit→posterior-ready latency), the
+//! stall reduction, speculation hit, waste and ready rates (a ready
+//! fraction near 1 means the window-long hint lead hides the whole fit),
+//! pool idle fraction, and a byte-compare of all four event
 //! logs — prefetch must change *when* fits compute, never *what* they
 //! compute. Emits `BENCH_fit_prefetch.json` into the results directory;
 //! CI greps it for `"determinism_mismatch": false`.
@@ -46,7 +48,7 @@ fn run_case(prefetch: bool, fit_threads: usize, n_configs: usize, epochs: u32) -
         PopConfig {
             predictor: PredictorConfig::test(),
             fit_threads,
-            fit_prefetch: Some(prefetch),
+            fit_prefetch: prefetch,
             seed: 5,
             ..Default::default()
         },
@@ -150,6 +152,7 @@ fn main() {
             "idle",
             "speculated",
             "adopted",
+            "ready",
             "wasted",
             "hit_rate",
             "wall_s",
@@ -165,6 +168,7 @@ fn main() {
                     format!("{:.3}", c.pool.idle_fraction()),
                     c.spec.speculated.to_string(),
                     c.spec.adopted.to_string(),
+                    c.spec.ready.to_string(),
                     c.spec.wasted().to_string(),
                     format!("{:.3}", c.spec.hit_rate()),
                     format!("{:.2}", c.wall_secs),
@@ -180,8 +184,8 @@ fn main() {
             format!(
                 "    {{ \"case\": \"{}\", \"stall_secs\": {:.6}, \"stall_events\": {}, \
                  \"stall_p50_ms\": {:.4}, \"stall_p99_ms\": {:.4}, \"idle_fraction\": {:.4}, \
-                 \"speculated\": {}, \"adopted\": {}, \"mismatched\": {}, \"wasted\": {}, \
-                 \"hit_rate\": {:.4}, \"wall_secs\": {:.3} }}",
+                 \"speculated\": {}, \"adopted\": {}, \"ready\": {}, \"ready_fraction\": {:.4}, \
+                 \"mismatched\": {}, \"wasted\": {}, \"hit_rate\": {:.4}, \"wall_secs\": {:.3} }}",
                 c.label,
                 c.pool.stall_secs,
                 c.pool.stall_events,
@@ -190,6 +194,8 @@ fn main() {
                 c.pool.idle_fraction(),
                 c.spec.speculated,
                 c.spec.adopted,
+                c.spec.ready,
+                c.spec.ready_fraction(),
                 c.spec.mismatched,
                 c.spec.wasted(),
                 c.spec.hit_rate(),

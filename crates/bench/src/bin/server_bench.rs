@@ -17,7 +17,7 @@
 //! * the measured cross-study hit rate and admission rejections,
 //! * `determinism_mismatch`: every per-study server trace byte-compared
 //!   against its standalone reference, at 1 **and** 4 fit threads and
-//!   with prefetch forced on.
+//!   with prefetch on.
 //!
 //! The bin fails loudly if any trace diverges, if duplicates failed to
 //! dedup, or (on hosts with ≥ 4 cores, where shard overlap makes it
@@ -57,6 +57,7 @@ fn build_stream(n: usize, dup_ratio: f64, configs: usize, epochs: u32) -> Vec<St
                 policy: PopConfig {
                     predictor: PredictorConfig::test(),
                     fit_threads: 1,
+                    fit_prefetch: false,
                     ..Default::default()
                 },
                 seed,
@@ -150,14 +151,14 @@ fn main() {
     let (outcomes_1t, _, _, _) =
         run_server_pass(ServerConfig { fit_threads: 1, ..config }, &stream);
 
-    // The same stream with speculative fit prefetch forced on: boundary
+    // The same stream with speculative fit prefetch on: boundary
     // decisions collect already-computed posteriors, so the pool's stall
     // histogram shrinks while every trace stays byte-identical.
     let stream_on: Vec<StudySpec> = stream
         .iter()
         .map(|s| {
             let mut s = s.clone();
-            s.policy.fit_prefetch = Some(true);
+            s.policy.fit_prefetch = true;
             s
         })
         .collect();

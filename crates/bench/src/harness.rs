@@ -46,6 +46,15 @@ pub fn harness_fit_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Speculative fit prefetch for every POP and EarlyTerm instance the
+/// harness builds: off. Prefetch hides fit latency by running fits on
+/// extra threads while the event loop goes on, but [`run_comparison`]
+/// and the figure bins' `par_map` already keep every hardware thread
+/// busy with one replicate each, so there speculation only adds the
+/// fits it wastes (fig07 wall clock rose about 20% on 2 cores with it
+/// on). Results are bitwise the same either way (DESIGN.md §15).
+const HARNESS_FIT_PREFETCH: bool = false;
+
 /// Records the harness fit-pool decision once per process so bench runs
 /// are auditable: writes `BENCH_harness.json` into the results directory.
 fn record_fit_thread_choice(threads: usize, workers: usize) {
@@ -100,12 +109,14 @@ impl PolicyKind {
                 predictor: fidelity,
                 seed,
                 fit_threads: harness_fit_threads(),
+                fit_prefetch: HARNESS_FIT_PREFETCH,
                 ..Default::default()
             })),
             PolicyKind::Bandit => Box::new(BanditPolicy::new()),
             PolicyKind::EarlyTerm => Box::new(EarlyTermPolicy::with_config(EarlyTermConfig {
                 predictor: fidelity,
                 seed,
+                fit_prefetch: HARNESS_FIT_PREFETCH,
                 ..Default::default()
             })),
             PolicyKind::Default => Box::new(DefaultPolicy::new()),
@@ -270,6 +281,7 @@ pub fn run_comparison(
                         predictor: settings.fidelity,
                         seed: noise_seed,
                         fit_threads: harness_fit_threads(),
+                        fit_prefetch: HARNESS_FIT_PREFETCH,
                         ..Default::default()
                     });
                     let result = run_sim(&mut pop, experiment, spec);

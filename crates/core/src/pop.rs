@@ -155,15 +155,15 @@ pub struct PopConfig {
     /// each boundary decision reports the modeled makespan of its fit
     /// batch, which the engine charges to the decided job.
     pub fit_cost: Option<FitCostModel>,
-    /// Speculative ahead-of-boundary fit prefetch: the engine hints each
-    /// boundary epoch at *issue* time and the fit service computes the
-    /// boundary fit while the epoch runs, so the decision collects an
-    /// already-finished posterior instead of launching it synchronously.
-    /// Prefetch changes *when* fits compute, never *what* they compute —
-    /// traces stay byte-identical (see `FitService::prefetch_fit`).
-    /// `None` defers to the `HYPERDRIVE_FIT_PREFETCH` environment knob
-    /// (default off); `Some` overrides it either way.
-    pub fit_prefetch: Option<bool>,
+    /// Speculative ahead-of-boundary fit prefetch (default on): the
+    /// engine hints each job's next boundary when the first epoch of the
+    /// evaluation window is issued, with the curve the boundary will
+    /// see, and the fit service computes the boundary fit while the
+    /// window runs, so the decision collects an already-finished
+    /// posterior instead of launching it synchronously. Prefetch changes
+    /// *when* fits compute, never *what* they compute — traces stay
+    /// byte-identical (see `FitService::prefetch_fit`).
+    pub fit_prefetch: bool,
     /// Base seed for prediction determinism.
     pub seed: u64,
 }
@@ -179,7 +179,7 @@ impl Default for PopConfig {
             static_threshold: None,
             fit_threads: 0,
             fit_cost: None,
-            fit_prefetch: None,
+            fit_prefetch: true,
             seed: 0,
         }
     }
@@ -352,13 +352,6 @@ impl PopPolicy {
         self.service.pool_stats()
     }
 
-    /// Whether this policy speculates ahead of boundaries: the explicit
-    /// config override when present, else the `HYPERDRIVE_FIT_PREFETCH`
-    /// environment knob (default off).
-    fn prefetch_enabled(&self) -> bool {
-        self.config.fit_prefetch.unwrap_or_else(hyperdrive_curve::fit_prefetch_forced)
-    }
-
     /// An order-independent digest over every posterior this policy has
     /// memoized: two runs of the same experiment produced byte-identical
     /// posteriors iff their digests match (the server's equivalence tests
@@ -508,36 +501,37 @@ impl SchedulingPolicy for PopPolicy {
     }
 
     fn prefetch_boundary(&self, default_boundary: u32) -> Option<u32> {
-        self.prefetch_enabled().then(|| self.config.boundary.unwrap_or(default_boundary).max(1))
+        self.config.fit_prefetch.then(|| self.config.boundary.unwrap_or(default_boundary).max(1))
     }
 
     fn prefetch_hint(&mut self, hint: &PrefetchHint, curve: &LearningCurve) {
         // Mirror of `refresh_assessments` for the hinted job, evaluated on
-        // the curve as it will look when the in-flight epoch lands — same
-        // budget arithmetic, same fallback epoch duration, same horizon —
-        // so the speculative fit's fingerprint matches the boundary's
-        // demand fit exactly and is adopted rather than recomputed.
-        let budget = hint.tmax.saturating_sub(hint.completion_time);
+        // the predicted curve through the boundary — same budget
+        // arithmetic, same fallback epoch duration, same horizon — so the
+        // speculative fit's fingerprint matches the boundary's demand fit
+        // exactly and is adopted rather than recomputed.
+        let (Some(epoch), Some(now)) = (curve.last_epoch(), curve.last_time()) else {
+            return;
+        };
+        if epoch != hint.epoch {
+            return;
+        }
+        let budget = hint.tmax.saturating_sub(now);
         if budget <= SimTime::ZERO {
             return; // Tmax imminent; the boundary never fits either.
         }
-        if hint.epoch == 0 || curve.last_epoch() != Some(hint.epoch - 1) {
-            return; // curve out of step with the hint (rollback mid-turn)
-        }
-        let mut predicted = curve.clone();
-        predicted.push(hint.epoch, hint.completion_time, hint.value);
-        let epoch_duration = predicted.mean_epoch_duration().unwrap_or_else(|| {
-            SimTime::from_secs(hint.completion_time.as_secs() / f64::from(hint.epoch.max(1)))
-        });
+        let epoch_duration = curve
+            .mean_epoch_duration()
+            .unwrap_or_else(|| SimTime::from_secs(now.as_secs() / f64::from(epoch.max(1))));
         if epoch_duration <= SimTime::ZERO {
             return;
         }
         let m_budget = (budget.as_secs() / epoch_duration.as_secs()).floor() as u32;
-        let max_future = m_budget.min(hint.max_epochs.saturating_sub(hint.epoch));
+        let max_future = m_budget.min(hint.max_epochs.saturating_sub(epoch));
         if max_future < 1 {
             return;
         }
-        self.service.prefetch_fit(hint.job, &predicted, hint.epoch + max_future);
+        self.service.prefetch_fit(hint.job, curve, epoch + max_future);
     }
 
     fn on_iteration_finish(
@@ -948,7 +942,7 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_boundary_follows_config_not_environment() {
+    fn prefetch_boundary_follows_config() {
         let pop_with = |fit_prefetch, boundary| {
             PopPolicy::with_config(PopConfig {
                 predictor: PredictorConfig::test(),
@@ -957,52 +951,46 @@ mod tests {
                 ..Default::default()
             })
         };
-        // Explicit overrides win over whatever HYPERDRIVE_FIT_PREFETCH
-        // says, so these hold in any test environment.
-        assert_eq!(pop_with(Some(false), None).prefetch_boundary(10), None);
-        assert_eq!(pop_with(Some(true), None).prefetch_boundary(10), Some(10));
-        assert_eq!(pop_with(Some(true), Some(7)).prefetch_boundary(10), Some(7));
-        assert_eq!(pop_with(Some(true), Some(0)).prefetch_boundary(0), Some(1));
+        assert!(PopConfig::default().fit_prefetch, "prefetch is on by default");
+        assert_eq!(pop_with(false, None).prefetch_boundary(10), None);
+        assert_eq!(pop_with(true, None).prefetch_boundary(10), Some(10));
+        assert_eq!(pop_with(true, Some(7)).prefetch_boundary(10), Some(7));
+        assert_eq!(pop_with(true, Some(0)).prefetch_boundary(0), Some(1));
     }
 
     #[test]
     fn hinted_boundary_fit_is_adopted_not_recomputed() {
-        let mut ctx = MockContext::new(4);
         let values = saturating(0.85, 30);
-        // The policy sees 29 observed epochs while epoch 30 is in flight.
-        ctx.push_curve(JobId::new(0), &values[..29], 60.0);
-        ctx.active = vec![JobId::new(0)];
-        let mut policy = PopPolicy::with_config(PopConfig {
-            predictor: PredictorConfig::test(),
-            fit_prefetch: Some(true),
-            ..Default::default()
-        });
-        let curve = ctx.curve(JobId::new(0)).expect("curve");
-        let hint = PrefetchHint {
-            job: JobId::new(0),
-            epoch: 30,
-            completion_time: SimTime::from_mins(30.0),
-            value: values[29],
-            max_epochs: ctx.max_epochs(),
-            tmax: ctx.tmax(),
-        };
-        policy.prefetch_hint(&hint, &curve);
-        assert_eq!(policy.spec_stats().speculated, 1);
-
-        // The epoch lands; the boundary decision collects the speculation.
+        // The hint carries the curve the boundary will see at epoch 30.
         let mut boundary_ctx = MockContext::new(4);
         boundary_ctx.push_curve(JobId::new(0), &values, 60.0);
         boundary_ctx.active = vec![JobId::new(0)];
+        let mut policy = PopPolicy::with_config(PopConfig {
+            predictor: PredictorConfig::test(),
+            ..Default::default()
+        });
+        let predicted = boundary_ctx.curve(JobId::new(0)).expect("curve");
+        let hint = PrefetchHint {
+            job: JobId::new(0),
+            epoch: 30,
+            max_epochs: boundary_ctx.max_epochs(),
+            tmax: boundary_ctx.tmax(),
+        };
+        policy.prefetch_hint(&hint, &predicted);
+        assert_eq!(policy.spec_stats().speculated, 1);
+
+        // The window runs; the boundary decision collects the speculation.
         let decision = policy.on_iteration_finish(&event(0, 30, values[29]), &mut boundary_ctx);
         let spec = policy.spec_stats();
         assert_eq!((spec.adopted, spec.mismatched), (1, 0), "horizon math matched");
+        assert!(spec.ready <= spec.adopted);
         assert_eq!(policy.fit_stats().fits, 1, "adopted fits still count as fits");
 
         // Byte-equivalence with the prefetch-off policy: same decision,
         // same assessment, same posterior digest.
         let mut plain = PopPolicy::with_config(PopConfig {
             predictor: PredictorConfig::test(),
-            fit_prefetch: Some(false),
+            fit_prefetch: false,
             ..Default::default()
         });
         let mut plain_ctx = MockContext::new(4);
@@ -1020,34 +1008,19 @@ mod tests {
     fn out_of_step_hints_are_dropped() {
         let mut policy = PopPolicy::with_config(PopConfig {
             predictor: PredictorConfig::test(),
-            fit_prefetch: Some(true),
             ..Default::default()
         });
         let mut ctx = MockContext::new(4);
         ctx.push_curve(JobId::new(0), &saturating(0.85, 20), 60.0);
         let curve = ctx.curve(JobId::new(0)).expect("curve");
-        let hint = |epoch, completion: SimTime, tmax| PrefetchHint {
-            job: JobId::new(0),
-            epoch,
-            completion_time: completion,
-            value: 0.5,
-            max_epochs: 120,
-            tmax,
-        };
-        // A rollback between issue and drain leaves the curve behind the
-        // hinted epoch; past Tmax the boundary never fits either.
-        policy
-            .prefetch_hint(&hint(30, SimTime::from_mins(30.0), SimTime::from_hours(12.0)), &curve);
-        policy
-            .prefetch_hint(&hint(21, SimTime::from_hours(13.0), SimTime::from_hours(12.0)), &curve);
+        let hint =
+            |epoch, max_epochs, tmax| PrefetchHint { job: JobId::new(0), epoch, max_epochs, tmax };
+        // A curve that does not run through the hinted boundary.
+        policy.prefetch_hint(&hint(30, 120, SimTime::from_hours(12.0)), &curve);
+        // Past Tmax the boundary never fits either (epoch 20 lands at 20 min).
+        policy.prefetch_hint(&hint(20, 120, SimTime::from_mins(20.0)), &curve);
         // At the final epoch no future remains to predict into.
-        policy.prefetch_hint(
-            &PrefetchHint {
-                max_epochs: 21,
-                ..hint(21, SimTime::from_mins(21.0), SimTime::from_hours(12.0))
-            },
-            &curve,
-        );
+        policy.prefetch_hint(&hint(20, 20, SimTime::from_hours(12.0)), &curve);
         assert_eq!(policy.spec_stats().speculated, 0);
     }
 

@@ -78,7 +78,7 @@ pub use models::{GridPoint, ModelFamily, ALL_FAMILIES};
 pub use predictor::{CurvePosterior, CurvePredictor, PredictorConfig};
 pub use scratch::FitScratch;
 pub use service::{
-    batch_fit_forced, derive_fit_seed, fit_prefetch_depth, fit_prefetch_forced,
-    resolve_fit_threads, sequential_fit, FitKey, FitOutcome, FitPool, FitPoolStats, FitRequest,
-    FitService, FitStats, SpecFitHandle, SpecStats, DEFAULT_PREFETCH_DEPTH,
+    batch_fit_forced, derive_fit_seed, resolve_fit_threads, sequential_fit, FitKey, FitOutcome,
+    FitPool, FitPoolStats, FitRequest, FitService, FitStats, SpecFitHandle, SpecStats,
+    DEFAULT_PREFETCH_DEPTH,
 };

@@ -78,8 +78,9 @@
 //!
 //! The scheduler only *consumes* posteriors at evaluation boundaries, so
 //! without prefetch every fit is a synchronous burst at the boundary
-//! while the pool idles in between. [`FitService::prefetch_fit`] lets the
-//! engine enqueue the fit for an epoch *the moment the epoch is issued*:
+//! while the pool idles in between. [`FitService::prefetch_fit`] lets a
+//! policy enqueue a boundary fit on the engine's predicted curve *a whole
+//! evaluation window early*, when the window's first epoch is issued:
 //! the seed, warm source, and [`CurveFingerprint`] are resolved at
 //! enqueue time — exactly the resolution `fit_batch` would perform at
 //! the boundary — and the result is parked on a private channel, **not**
@@ -87,7 +88,7 @@
 //! on an exact fingerprint match (anything else is counted waste and
 //! refit on demand), so prefetch changes *when* a fit computes, never
 //! *what* it computes. Speculation depth is bounded
-//! ([`fit_prefetch_depth`]) and a speculation is cancelled when its job
+//! ([`DEFAULT_PREFETCH_DEPTH`]) and a speculation is cancelled when its job
 //! is [`forget`](FitService::forget)-ten, so prefetch can never starve
 //! demand fits by more than `depth` queued entries on the shared FIFO.
 
@@ -149,45 +150,11 @@ pub fn batch_fit_forced() -> bool {
     })
 }
 
-/// Default bound on in-flight speculations per service when
-/// `HYPERDRIVE_FIT_PREFETCH_DEPTH` is unset.
+/// Default bound on in-flight speculations per service (override with
+/// [`FitService::with_prefetch_depth`]). A demand fit arriving at a
+/// boundary waits behind at most this many queued speculations on the
+/// pool's FIFO.
 pub const DEFAULT_PREFETCH_DEPTH: usize = 32;
-
-/// True when `HYPERDRIVE_FIT_PREFETCH` turns speculative
-/// ahead-of-boundary fit prefetching on for every policy in the process
-/// (any value except empty, `0`, or `off`). Default **off**. Safe to
-/// force globally because an adopted speculation is keyed by the same
-/// [`CurveFingerprint`] the demand fit would resolve, so prefetch moves
-/// compute earlier in wall-clock time without changing any result.
-#[must_use]
-pub fn fit_prefetch_forced() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("HYPERDRIVE_FIT_PREFETCH")
-            .map(|v| {
-                let v = v.trim();
-                !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("off")
-            })
-            .unwrap_or(false)
-    })
-}
-
-/// Resolves the speculation-depth bound: `HYPERDRIVE_FIT_PREFETCH_DEPTH`
-/// when set to a positive integer, else [`DEFAULT_PREFETCH_DEPTH`]. The
-/// bound caps how many speculative fits a service may have in flight, so
-/// a demand fit arriving at a boundary waits behind at most this many
-/// queued speculations on the pool's FIFO.
-#[must_use]
-pub fn fit_prefetch_depth() -> usize {
-    static DEPTH: OnceLock<usize> = OnceLock::new();
-    *DEPTH.get_or_init(|| {
-        std::env::var("HYPERDRIVE_FIT_PREFETCH_DEPTH")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|n| *n > 0)
-            .unwrap_or(DEFAULT_PREFETCH_DEPTH)
-    })
-}
 
 /// Resolves the worker-thread count: an explicit non-zero request wins,
 /// otherwise `HYPERDRIVE_FIT_THREADS`, otherwise one thread per core.
@@ -289,6 +256,11 @@ pub struct SpecStats {
     /// Speculations whose fingerprint no longer matched at collection
     /// time (warm source or horizon drifted); refit on demand.
     pub mismatched: u64,
+    /// Adopted speculations (subset of `adopted`) whose fit had already
+    /// finished when the boundary adopted it, so the boundary did not
+    /// wait on it at all. `ready / adopted` near 1 means the hint leads
+    /// the boundary by enough to hide the whole fit.
+    pub ready: u64,
 }
 
 impl SpecStats {
@@ -306,6 +278,17 @@ impl SpecStats {
             0.0
         } else {
             self.adopted as f64 / self.speculated as f64
+        }
+    }
+
+    /// Fraction of adopted speculations that were already finished when
+    /// adopted (0 when nothing was adopted).
+    #[must_use]
+    pub fn ready_fraction(&self) -> f64 {
+        if self.adopted == 0 {
+            0.0
+        } else {
+            self.ready as f64 / self.adopted as f64
         }
     }
 }
@@ -570,14 +553,25 @@ impl SpecFitHandle {
         self.cancelled.store(true, Ordering::Relaxed);
     }
 
-    /// Blocks until the fit finishes and returns its result; `None` if it
-    /// was cancelled before compute started (the worker dropped the
+    /// Blocks until the fit finishes and returns its result, plus whether
+    /// it had already finished before this call (no wait at all); `None`
+    /// if it was cancelled before compute started (the worker dropped the
     /// reply), in which case the caller fits on demand.
     #[must_use]
-    pub fn wait(self) -> Option<Result<CurvePosterior>> {
-        let (key, result) = self.reply.recv().ok()?;
+    pub fn wait(self) -> Option<(Result<CurvePosterior>, bool)> {
+        let ((key, result), ready) = recv_spec_reply(&self.reply)?;
         debug_assert_eq!(key, self.key);
-        Some(result)
+        Some((result, ready))
+    }
+}
+
+/// Takes a speculation's reply, blocking if the fit is still running;
+/// the flag is true when the reply was already parked (the fit finished
+/// before anyone waited). `None` when the worker dropped the reply.
+fn recv_spec_reply<T>(reply: &Receiver<T>) -> Option<(T, bool)> {
+    match reply.try_recv() {
+        Ok(msg) => Some((msg, true)),
+        Err(_) => reply.recv().ok().map(|msg| (msg, false)),
     }
 }
 
@@ -692,12 +686,12 @@ impl FitService {
             shared,
             shared_layer,
             pool,
-            prefetch_depth: fit_prefetch_depth(),
+            prefetch_depth: DEFAULT_PREFETCH_DEPTH,
         }
     }
 
     /// Overrides the in-flight speculation bound (default:
-    /// [`fit_prefetch_depth`]). A `0` depth disables speculation entirely
+    /// [`DEFAULT_PREFETCH_DEPTH`]). A `0` depth disables speculation entirely
     /// — [`prefetch_fit`](FitService::prefetch_fit) becomes a no-op.
     #[must_use]
     pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
@@ -994,14 +988,17 @@ impl FitService {
         let mut warm_fits = 0u64;
         let mut shared_inserts = 0u64;
         let spec_adopted = adopted_specs.len();
+        let mut spec_ready = 0u64;
         // Adopted speculations resolve exactly like fresh replies: same
         // warm accounting, same shared-layer publication, same per-run
         // cache insertion, same `cached: false` outcome — a caller (or a
         // trace byte-compare) cannot tell a collected speculation from
         // the demand fit it replaced.
         let adopted_results = adopted_specs.into_iter().map(|(key, spec)| {
-            let (k, result) = spec.reply.recv().expect("speculative fit worker alive");
+            let ((k, result), ready) =
+                recv_spec_reply(&spec.reply).expect("speculative fit worker alive");
             debug_assert_eq!(k, key);
+            spec_ready += u64::from(ready);
             (key, result)
         });
         let demand_results = (0..enqueued).map(|_| reply_rx.recv().expect("workers alive"));
@@ -1035,6 +1032,7 @@ impl FitService {
         if spec_adopted > 0 || spec_mismatched > 0 {
             let mut spec = self.shared.spec_stats.lock();
             spec.adopted += spec_adopted as u64;
+            spec.ready += spec_ready;
             spec.mismatched += spec_mismatched;
         }
         self.pool.telemetry.record_stall(stall_timer.elapsed().as_nanos() as u64);

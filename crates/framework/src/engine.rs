@@ -176,11 +176,14 @@ struct EngineCore<'w> {
     prefetch_boundary: Option<u32>,
     /// Hints buffered while a turn runs: `issue_epoch` fires inside
     /// [`SchedulerContext`] up-calls where the policy is borrowed, so
-    /// the sink buffers `(job, epoch, completion, value)` and
-    /// `finish_turn_into` drains it to the policy. Never journaled —
+    /// the sink buffers `(job, first epoch, its completion, boundary)`
+    /// and `finish_turn_into` drains it to the policy. Never journaled —
     /// prefetch is pure compute-ahead and must leave every journal and
     /// log record untouched.
-    prefetch_hints: Vec<(JobId, u32, SimTime, f64)>,
+    prefetch_hints: Vec<(JobId, u32, SimTime, u32)>,
+    /// Reused buffer for the predicted curve handed to the policy with
+    /// each hint (sized to `max_epochs`, so it never grows mid-run).
+    prefetch_curve: LearningCurve,
 }
 
 impl<'w> EngineCore<'w> {
@@ -208,26 +211,31 @@ impl<'w> EngineCore<'w> {
     }
 
     /// Issues the next epoch of `job` on `machine`, including `extra`
-    /// latency (resume cost and/or retry backoff).
-    fn issue_epoch(&mut self, job: JobId, machine: MachineId, extra: SimTime) {
+    /// latency (resume cost and/or retry backoff). `started` is true when
+    /// the job (re)starts on `machine` rather than continuing there.
+    fn issue_epoch(&mut self, job: JobId, machine: MachineId, extra: SimTime, started: bool) {
         let next_epoch = self.jm.epochs_done(job).expect("job registered") + 1;
         let duration = self.profile_of(job).epoch_duration(next_epoch) + extra;
         self.charge(job, duration);
         let token = self.issue_token(job);
         self.pending.push(Command::RunEpoch { job, machine, epoch: next_epoch, duration, token });
-        // Speculative prefetch hook: the epoch just issued will surface at
-        // a decision boundary, so tell the policy *now* — its fit overlaps
-        // with every event processed until the epoch completes. The
-        // executor reports exactly `value_at(next_epoch)` at `now +
-        // duration` (fault interruptions cancel the token, and `forget`
-        // reaps any stale speculation), so the hint predicts the
-        // observation the boundary fit would use. Epochs at `max_epochs`
-        // complete the job instead of reaching `on_iteration_finish`.
+        // Speculative prefetch hook: once per evaluation window — at the
+        // window's first issued epoch (a start, resume or retry, or a
+        // continue past the previous boundary) — tell the policy about
+        // the window's boundary `B`, so its fit overlaps with every event
+        // of the window. Every observation up to `B` is already known
+        // here: the executor reports `value_at(k)` at the chained
+        // completion times (fault interruptions cancel the token, and a
+        // retry re-hints), so the predicted curve is the one the boundary
+        // fit will see. Epochs at `max_epochs` complete the job instead
+        // of reaching `on_iteration_finish`. `B` uses checked arithmetic:
+        // policies park the boundary at `u32::MAX` to disable decisions.
         if let Some(b) = self.prefetch_boundary {
-            let profile = self.profile_of(job);
-            if next_epoch.is_multiple_of(b) && next_epoch < profile.max_epochs() {
-                let value = profile.value_at(next_epoch);
-                self.prefetch_hints.push((job, next_epoch, self.now + duration, value));
+            let window_start = started || (next_epoch - 1).is_multiple_of(b);
+            if let Some(boundary) = next_epoch.div_ceil(b).checked_mul(b) {
+                if window_start && boundary < self.profile_of(job).max_epochs() {
+                    self.prefetch_hints.push((job, next_epoch, self.now + duration, boundary));
+                }
             }
         }
     }
@@ -403,7 +411,7 @@ impl SchedulerContext for EngineCore<'_> {
             extra += penalty;
         }
         self.record(SchedulerEvent::Started { job, machine, time: self.now, resumed });
-        self.issue_epoch(job, machine, extra);
+        self.issue_epoch(job, machine, extra, true);
         Some(job)
     }
 
@@ -475,8 +483,9 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
         // most min(jobs, machines) jobs, plus one Suspend and one Stop.
         let batch_cap = n_jobs.min(spec.machines) + 2;
         // Snapshotted once: the prefetch boundary is part of the policy's
-        // configuration, not run state, so it cannot drift mid-run.
-        let prefetch_boundary = policy.prefetch_boundary(workload.eval_boundary);
+        // configuration, not run state, so it cannot drift mid-run. A zero
+        // boundary has no windows and is treated as no hinting.
+        let prefetch_boundary = policy.prefetch_boundary(workload.eval_boundary).filter(|&b| b > 0);
         ExperimentEngine {
             core: EngineCore {
                 workload,
@@ -524,6 +533,10 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
                 } else {
                     0
                 }),
+                prefetch_curve: LearningCurve::with_capacity(
+                    workload.domain.metric,
+                    if prefetch_boundary.is_some() { workload.max_epochs as usize } else { 0 },
+                ),
             },
             policy,
         }
@@ -616,28 +629,51 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
         self.drain_prefetch_hints();
     }
 
-    /// Delivers hints buffered by `issue_epoch` to the policy. Runs after
-    /// the journal records for the turn are written: hints carry no run
-    /// state — they only let the policy start fits early — so they are
-    /// invisible to the journal, the event log, and replay verification
-    /// (replay re-fires them identically from the same issue points).
+    /// Delivers hints buffered by `issue_epoch` to the policy, each with
+    /// the predicted curve through its boundary. Runs after the journal
+    /// records for the turn are written: hints carry no run state — they
+    /// only let the policy start fits early — so they are invisible to
+    /// the journal, the event log, and replay verification (replay
+    /// re-fires them identically from the same issue points).
     fn drain_prefetch_hints(&mut self) {
         if self.core.prefetch_hints.is_empty() {
             return;
         }
-        let max_epochs = self.core.workload.max_epochs;
-        let tmax = self.core.spec.tmax;
+        let core = &mut self.core;
+        let max_epochs = core.workload.max_epochs;
+        let tmax = core.spec.tmax;
         // Index loop instead of drain(): the policy up-call borrows
         // `self.policy` mutably while `self.core` stays readable, and the
-        // buffer keeps its capacity for the next turn.
-        for i in 0..self.core.prefetch_hints.len() {
-            let (job, epoch, completion_time, value) = self.core.prefetch_hints[i];
-            if let Some(curve) = self.core.db.curve_ref(job) {
-                let hint = PrefetchHint { job, epoch, completion_time, value, max_epochs, tmax };
-                self.policy.prefetch_hint(&hint, curve);
+        // buffers keep their capacity for the next turn.
+        for i in 0..core.prefetch_hints.len() {
+            let (job, first, completion, boundary) = core.prefetch_hints[i];
+            let predicted = &mut core.prefetch_curve;
+            predicted.truncate_to_epoch(0);
+            // The observed curve (none yet for a fresh job) must end just
+            // before the issued epoch; anything else is a rollback that
+            // happened after the issue, and the hint is dropped.
+            let observed = core.db.curve_ref(job);
+            if observed.and_then(LearningCurve::last_epoch).unwrap_or(0) + 1 != first {
+                continue;
             }
+            for p in observed.map_or(&[][..], LearningCurve::points) {
+                predicted.push(p.epoch, p.time, p.value);
+            }
+            // Completion times chain exactly as the executor computes
+            // them: `now + duration` for the issued epoch (already in
+            // `completion`, extra latency included), then one
+            // `epoch_duration` per continue inside the window.
+            let profile = core.workload.profile(job);
+            let mut time = completion;
+            predicted.push(first, time, profile.value_at(first));
+            for k in first + 1..=boundary {
+                time += profile.epoch_duration(k);
+                predicted.push(k, time, profile.value_at(k));
+            }
+            let hint = PrefetchHint { job, epoch: boundary, max_epochs, tmax };
+            self.policy.prefetch_hint(&hint, predicted);
         }
-        self.core.prefetch_hints.clear();
+        core.prefetch_hints.clear();
     }
 
     /// Feeds one completion event back at time `now`, writing follow-up
@@ -849,7 +885,7 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
             let overhead = self.policy.take_decision_overhead();
             match decision {
                 JobDecision::Continue => {
-                    self.core.issue_epoch(job, machine, overhead);
+                    self.core.issue_epoch(job, machine, overhead, false);
                 }
                 JobDecision::Suspend => {
                     // Injected suspend failure: the snapshot capture dies
@@ -1106,57 +1142,137 @@ mod tests {
         assert_eq!(result.winner, Some(job));
     }
 
-    /// Scheduling decisions stay `Continue`; the policy only records the
-    /// prefetch hints the engine delivers.
+    /// Records the prefetch hints the engine delivers and the curve each
+    /// decision actually sees; decisions stay `Continue`, except that a
+    /// job is suspended once when it reaches `suspend_at`.
     #[derive(Default)]
     struct HintRecorder {
         boundary: Option<u32>,
-        hints: Vec<(JobId, u32, SimTime, f64, usize)>,
+        suspend_at: Option<u32>,
+        suspended: Vec<JobId>,
+        hints: Vec<(JobId, u32, Vec<hyperdrive_types::CurvePoint>)>,
+        seen: Vec<(JobId, u32, Vec<hyperdrive_types::CurvePoint>)>,
     }
     impl SchedulingPolicy for HintRecorder {
         fn name(&self) -> &str {
             "hint-recorder"
         }
+        fn on_iteration_finish(
+            &mut self,
+            event: &JobEvent,
+            ctx: &mut dyn SchedulerContext,
+        ) -> JobDecision {
+            let curve = ctx.curve(event.job).expect("decided job has a curve");
+            self.seen.push((event.job, event.epoch, curve.points().to_vec()));
+            if self.suspend_at == Some(event.epoch) && !self.suspended.contains(&event.job) {
+                self.suspended.push(event.job);
+                return JobDecision::Suspend;
+            }
+            JobDecision::Continue
+        }
         fn prefetch_boundary(&self, _default: u32) -> Option<u32> {
             self.boundary
         }
         fn prefetch_hint(&mut self, hint: &PrefetchHint, curve: &LearningCurve) {
-            self.hints.push((hint.job, hint.epoch, hint.completion_time, hint.value, curve.len()));
+            assert_eq!(curve.last_epoch(), Some(hint.epoch), "curve runs through the boundary");
+            self.hints.push((hint.job, hint.epoch, curve.points().to_vec()));
+        }
+    }
+
+    /// Runs `policy` to completion the way the simulator does: each
+    /// command's completion is delivered at `issue time + duration`,
+    /// earliest first (ties in issue order).
+    fn drive_to_end(policy: &mut HintRecorder, ew: &ExperimentWorkload, machines: usize) {
+        let spec = ExperimentSpec::new(machines).with_stop_on_target(false);
+        let mut engine = ExperimentEngine::new(policy, ew, spec);
+        let mut queue: Vec<(SimTime, EngineEvent)> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut cmds = engine.start();
+        loop {
+            for cmd in &cmds {
+                match *cmd {
+                    Command::RunEpoch { job, duration, token, .. } => {
+                        queue.push((now + duration, EngineEvent::EpochDone { job, token }));
+                    }
+                    Command::Suspend { job, latency, token, .. } => {
+                        queue.push((now + latency, EngineEvent::SuspendDone { job, token }));
+                    }
+                    Command::Stop => return,
+                }
+            }
+            let Some(next) = (0..queue.len()).min_by(|&a, &b| queue[a].0.cmp(&queue[b].0)) else {
+                return;
+            };
+            let (time, event) = queue.remove(next);
+            now = time;
+            cmds = engine.handle(event, now);
+        }
+    }
+
+    /// Every hint's predicted curve must equal, bit for bit, the curve the
+    /// boundary decision later sees.
+    fn assert_hints_predict_boundaries(policy: &HintRecorder) {
+        for (job, boundary, predicted) in &policy.hints {
+            let seen = policy
+                .seen
+                .iter()
+                .rev()
+                .find(|(j, e, _)| j == job && e == boundary)
+                .unwrap_or_else(|| panic!("{job:?} never decided at hinted boundary {boundary}"));
+            assert_eq!(predicted.len(), seen.2.len(), "{job:?}@{boundary}");
+            for (p, o) in predicted.iter().zip(&seen.2) {
+                assert_eq!(p.epoch, o.epoch);
+                assert_eq!(p.time.as_secs().to_bits(), o.time.as_secs().to_bits(), "time bits");
+                assert_eq!(p.value.to_bits(), o.value.to_bits(), "value bits");
+            }
         }
     }
 
     #[test]
-    fn prefetch_hints_fire_at_boundary_epochs_before_they_complete() {
-        let ew = tiny_workload(1, 6);
-        let mut policy = HintRecorder { boundary: Some(2), ..Default::default() };
-        let spec = ExperimentSpec::new(1).with_stop_on_target(false);
-        let mut engine = ExperimentEngine::new(&mut policy, &ew, spec);
-        let mut cmds = engine.start();
-        let mut now = SimTime::ZERO;
-        let mut issued = Vec::new();
-        while let Some(Command::RunEpoch { job, epoch, duration, token, .. }) =
-            cmds.first().copied()
-        {
-            issued.push((epoch, now + duration));
-            now += duration;
-            cmds = engine.handle(EngineEvent::EpochDone { job, token }, now);
+    fn prefetch_hints_lead_each_window_with_the_boundary_curve() {
+        // One job, b = 3, 7 epochs: windows (0, 3] and (3, 6] are hinted
+        // when epochs 1 and 4 are issued; 9 >= max_epochs is never a
+        // decision, so the last window is not hinted.
+        let ew = tiny_workload(1, 7);
+        let mut policy = HintRecorder { boundary: Some(3), ..Default::default() };
+        drive_to_end(&mut policy, &ew, 1);
+        let hinted: Vec<u32> = policy.hints.iter().map(|&(_, b, _)| b).collect();
+        assert_eq!(hinted, vec![3, 6]);
+        // The fresh job had no observation when its first hint fired: the
+        // whole predicted curve comes from the profile.
+        let (job, _, first) = &policy.hints[0];
+        assert_eq!(first.len(), 3);
+        for p in first {
+            assert_eq!(p.value.to_bits(), ew.profile(*job).value_at(p.epoch).to_bits());
         }
-        drop(engine);
-        // Epochs 2 and 4 hit the boundary; 6 == max_epochs completes the
-        // job and never reaches a decision, so it must not be hinted.
-        assert_eq!(issued.iter().map(|&(e, _)| e).collect::<Vec<_>>(), vec![1, 2, 3, 4, 5, 6]);
-        let epochs: Vec<u32> = policy.hints.iter().map(|&(_, e, ..)| e).collect();
-        assert_eq!(epochs, vec![2, 4]);
-        for &(job, epoch, completion, value, curve_len) in &policy.hints {
-            // The hint predicts exactly what the executor will report: the
-            // profile value at that epoch, at the scheduled finish time.
-            let (_, scheduled) = issued[epoch as usize - 1];
-            assert_eq!(completion, scheduled);
-            assert_eq!(value, ew.profile(job).value_at(epoch));
-            // Delivered while the epoch is in flight: the curve holds only
-            // the epochs observed so far.
-            assert_eq!(curve_len, epoch as usize - 1);
+        assert_hints_predict_boundaries(&policy);
+    }
+
+    #[test]
+    fn resumed_jobs_are_hinted_at_their_window_start() {
+        // Two jobs on one machine, each suspended once at its first
+        // boundary: the resume (which pays a sampled resume latency on its
+        // first epoch) starts window (3, 6] and must re-hint it.
+        let ew = tiny_workload(2, 7);
+        let mut policy =
+            HintRecorder { boundary: Some(3), suspend_at: Some(3), ..Default::default() };
+        drive_to_end(&mut policy, &ew, 1);
+        assert_eq!(policy.suspended.len(), 2, "both jobs were suspended and resumed");
+        for job in [JobId::new(0), JobId::new(1)] {
+            let hinted: Vec<u32> =
+                policy.hints.iter().filter(|h| h.0 == job).map(|&(_, b, _)| b).collect();
+            assert_eq!(hinted, vec![3, 6], "{job:?}");
         }
+        assert_hints_predict_boundaries(&policy);
+    }
+
+    #[test]
+    fn boundary_at_u32_max_never_hints_or_overflows() {
+        let ew = tiny_workload(2, 6);
+        let mut policy = HintRecorder { boundary: Some(u32::MAX), ..Default::default() };
+        drive_to_end(&mut policy, &ew, 1);
+        assert!(policy.hints.is_empty());
+        assert_eq!(policy.seen.len(), 2 * 5, "every non-final epoch was decided");
     }
 
     #[test]

@@ -29,28 +29,27 @@ pub struct JobEvent {
     pub now: SimTime,
 }
 
-/// Advance notice that a job will complete an epoch visible at the next
-/// evaluation boundary, delivered to
-/// [`SchedulingPolicy::prefetch_hint`] the moment the epoch command is
-/// *issued* — before the epoch runs — so a policy can speculatively
-/// start the curve fit it will want at the boundary.
+/// Advance notice of a job's next evaluation boundary, delivered to
+/// [`SchedulingPolicy::prefetch_hint`] when the *first* epoch of the
+/// job's current evaluation window is issued — a whole window before the
+/// boundary decision — so a policy can speculatively start the curve fit
+/// it will want there.
 ///
-/// `completion_time` and `value` are the engine's predictions of the
-/// observation the boundary will see (exact in simulation and replay;
-/// best-effort live — a wrong prediction produces a fingerprint mismatch
-/// at the boundary and a demand refit, never a wrong result). `tmax` and
-/// `max_epochs` carry the context a hint handler needs for horizon math,
-/// since no [`SchedulerContext`] is available outside an up-call.
+/// The curve passed alongside is the engine's prediction of the curve
+/// the boundary will see: the observed epochs plus every epoch still to
+/// run up to `epoch`, with the workload's values and the executor's
+/// completion-time arithmetic (exact in simulation and replay;
+/// best-effort live, where only the times can differ — a wrong prediction
+/// produces a fingerprint mismatch at the boundary and a demand refit,
+/// never a wrong result). `tmax` and `max_epochs` carry the context a
+/// hint handler needs for horizon math, since no [`SchedulerContext`] is
+/// available outside an up-call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefetchHint {
-    /// The job whose epoch was issued.
+    /// The job whose window started.
     pub job: JobId,
-    /// The 1-based epoch that will have completed at the boundary.
+    /// The boundary epoch the predicted curve runs through.
     pub epoch: u32,
-    /// Predicted experiment time of the epoch's completion.
-    pub completion_time: SimTime,
-    /// Predicted performance value at `epoch`.
-    pub value: f64,
     /// The workload's maximum epochs (see
     /// [`SchedulerContext::max_epochs`]).
     pub max_epochs: u32,
@@ -206,23 +205,27 @@ pub trait SchedulingPolicy: Send {
     /// The evaluation boundary (in epochs) at which this policy wants
     /// speculative fit-prefetch hints, or `None` when prefetching is off
     /// (the default). The engine snapshots this once at construction and
-    /// then calls [`prefetch_hint`](Self::prefetch_hint) whenever it
-    /// issues an epoch `e` with `e % boundary == 0` that will still be
-    /// scheduler-visible (`e < max_epochs`). `default_boundary` is the
-    /// workload's evaluation boundary, passed in because no
-    /// [`SchedulerContext`] exists at construction time; policies that
-    /// resolve their boundary from the workload use it as the fallback.
+    /// then calls [`prefetch_hint`](Self::prefetch_hint) once per (job,
+    /// evaluation window), when it issues the window's first epoch `e`
+    /// (a fresh start, a resume, a retry, or a continue past the previous
+    /// boundary), for the boundary `B = ceil(e / boundary) * boundary`
+    /// provided `B < max_epochs` (later epochs complete the job without a
+    /// decision). `default_boundary` is the workload's evaluation
+    /// boundary, passed in because no [`SchedulerContext`] exists at
+    /// construction time; policies that resolve their boundary from the
+    /// workload use it as the fallback.
     fn prefetch_boundary(&self, default_boundary: u32) -> Option<u32> {
         let _ = default_boundary;
         None
     }
 
-    /// Advance notice that `hint.job` will complete `hint.epoch` — a
-    /// boundary-visible epoch — at `hint.completion_time`, with `curve`
-    /// the job's currently observed curve (epochs `1..hint.epoch`).
-    /// Policies overlap fitting with event processing by enqueuing the
-    /// boundary fit here. Purely speculative: a hint must never change
-    /// any decision, only move compute earlier. The default ignores it.
+    /// Advance notice that `hint.job` will reach the boundary
+    /// `hint.epoch` with the observed curve equal to `curve`, the
+    /// engine's prediction (see [`PrefetchHint`]); `curve.last_epoch()`
+    /// is `hint.epoch`. Policies overlap fitting with the window's event
+    /// processing by enqueuing the boundary fit here. Purely speculative:
+    /// a hint must never change any decision, only move compute earlier.
+    /// The default ignores it.
     fn prefetch_hint(&mut self, hint: &PrefetchHint, curve: &LearningCurve) {
         let _ = (hint, curve);
     }

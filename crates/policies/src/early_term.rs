@@ -18,11 +18,11 @@
 //! every surviving job keeps equal resources, and nothing is suspended.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use hyperdrive_curve::{
-    fit_fingerprint, fit_prefetch_depth, fit_prefetch_forced, global_fit_cache, CurveFingerprint,
-    CurvePredictor, FitPool, PredictorConfig, SharedFitCache, SpecFitHandle,
+    fit_fingerprint, global_fit_cache, CurveFingerprint, CurvePredictor, FitPool, PredictorConfig,
+    SharedFitCache, SpecFitHandle, SpecStats, DEFAULT_PREFETCH_DEPTH,
 };
 use hyperdrive_framework::{
     FitCacheSnapshot, JobDecision, JobEvent, PrefetchHint, SchedulerContext, SchedulingPolicy,
@@ -40,12 +40,12 @@ pub struct EarlyTermConfig {
     pub boundary: Option<u32>,
     /// Curve-model fidelity.
     pub predictor: PredictorConfig,
-    /// Speculative ahead-of-boundary fit prefetch: boundary fits start on
-    /// a worker pool when the boundary epoch is *issued* and are adopted
-    /// at the decision if their fingerprint matches — changing when they
-    /// compute, never what. `None` defers to `HYPERDRIVE_FIT_PREFETCH`
-    /// (default off).
-    pub fit_prefetch: Option<bool>,
+    /// Speculative ahead-of-boundary fit prefetch (default on): boundary
+    /// fits start on a worker pool when the first epoch of the
+    /// evaluation window is issued, on the engine's predicted curve, and
+    /// are adopted at the decision if their fingerprint matches —
+    /// changing when they compute, never what.
+    pub fit_prefetch: bool,
     /// Base seed mixed into per-(job, epoch) prediction seeds.
     pub seed: u64,
 }
@@ -56,7 +56,7 @@ impl Default for EarlyTermConfig {
             delta: 0.05,
             boundary: None,
             predictor: PredictorConfig::fast(),
-            fit_prefetch: None,
+            fit_prefetch: true,
             seed: 0,
         }
     }
@@ -72,6 +72,18 @@ struct EtSpeculation {
     handle: SpecFitHandle,
 }
 
+/// The pool every EarlyTerm speculation runs on: one per process, sized
+/// like a default fit pool (`HYPERDRIVE_FIT_THREADS`, else one worker per
+/// core) and started on first use. Shared rather than per instance, so a
+/// caller that already runs one policy per core (the bench harness's
+/// replicates, the figure bins' `par_map`, the test harness) adds one
+/// pool's worth of threads, not one per instance. Sharing is safe because
+/// each speculation replies on its own channel.
+fn speculation_pool() -> Arc<FitPool> {
+    static POOL: OnceLock<Arc<FitPool>> = OnceLock::new();
+    Arc::clone(POOL.get_or_init(|| FitPool::new(0)))
+}
+
 /// The predictive-termination baseline.
 #[derive(Debug)]
 pub struct EarlyTermPolicy {
@@ -83,12 +95,13 @@ pub struct EarlyTermPolicy {
     /// (bitwise the fit each replaced, so decisions are unchanged).
     shared_hits: u64,
     shared: Option<Arc<SharedFitCache>>,
-    /// Worker pool for speculative fits; `None` when prefetch is off (the
-    /// demand path then fits inline exactly as before).
+    /// The process-wide [`speculation_pool`]; `None` when prefetch is off
+    /// (the demand path then fits inline exactly as before).
     pool: Option<Arc<FitPool>>,
-    /// In-flight speculations by job, bounded by `prefetch_depth`.
+    /// In-flight speculations by job, bounded by
+    /// [`DEFAULT_PREFETCH_DEPTH`].
     specs: HashMap<JobId, EtSpeculation>,
-    prefetch_depth: usize,
+    spec_stats: SpecStats,
 }
 
 impl EarlyTermPolicy {
@@ -111,15 +124,14 @@ impl EarlyTermPolicy {
         config: EarlyTermConfig,
         cache: Option<Arc<SharedFitCache>>,
     ) -> Self {
-        let prefetch = config.fit_prefetch.unwrap_or_else(fit_prefetch_forced);
         EarlyTermPolicy {
             config,
             fits: 0,
             shared_hits: 0,
             shared: cache,
-            pool: prefetch.then(|| FitPool::new(0)),
+            pool: config.fit_prefetch.then(speculation_pool),
             specs: HashMap::new(),
-            prefetch_depth: fit_prefetch_depth(),
+            spec_stats: SpecStats::default(),
         }
     }
 
@@ -130,8 +142,15 @@ impl EarlyTermPolicy {
         self.fits + self.shared_hits
     }
 
-    /// Worker-pool telemetry for the speculative path; `None` when
-    /// prefetch is off and every fit runs inline.
+    /// Speculation counters (speculated / adopted / ready / cancelled /
+    /// mismatched); all zero with prefetch off.
+    pub fn spec_stats(&self) -> SpecStats {
+        self.spec_stats
+    }
+
+    /// Telemetry of the process-wide speculation pool (aggregated over
+    /// every EarlyTerm instance in the process); `None` when prefetch is
+    /// off and every fit runs inline.
     pub fn pool_stats(&self) -> Option<hyperdrive_curve::FitPoolStats> {
         self.pool.as_ref().map(|p| p.stats())
     }
@@ -199,11 +218,21 @@ impl EarlyTermPolicy {
                 // Adopt a fingerprint-matching speculation: bitwise the
                 // fit below, already computed (or computing) on the pool.
                 let adopted = match spec.take() {
-                    Some(s) if Some(s.fingerprint) == fp => s.handle.wait(),
-                    other => {
-                        *spec = other;
+                    Some(s) if Some(s.fingerprint) == fp => {
+                        s.handle.wait().map(|(result, ready)| {
+                            self.spec_stats.adopted += 1;
+                            self.spec_stats.ready += u64::from(ready);
+                            result
+                        })
+                    }
+                    Some(s) => {
+                        // The observed curve diverged from the hint's
+                        // prediction: never adopt, fit on demand.
+                        s.handle.cancel();
+                        self.spec_stats.mismatched += 1;
                         None
                     }
+                    None => None,
                 };
                 let result = adopted.unwrap_or_else(|| {
                     CurvePredictor::new(self.config.predictor.with_seed(seed)).fit(&curve, m)
@@ -274,16 +303,14 @@ impl SchedulingPolicy for EarlyTermPolicy {
         let Some(pool) = &self.pool else { return };
         let m = hint.max_epochs;
         // The global-best / incumbent gates cannot be evaluated ahead of
-        // time (the incumbent may change while the epoch runs); when they
+        // time (the incumbent may change while the window runs); when they
         // end up skipping the fit, the boundary cancels the speculation —
         // that is the waste the bench reports, never a wrong result.
-        if m <= hint.epoch || hint.epoch == 0 || curve.last_epoch() != Some(hint.epoch - 1) {
+        if m <= hint.epoch || curve.last_epoch() != Some(hint.epoch) {
             return;
         }
-        let mut predicted = curve.clone();
-        predicted.push(hint.epoch, hint.completion_time, hint.value);
         let seed = self.prediction_seed(hint.job, hint.epoch);
-        let fp = fit_fingerprint(&predicted, &self.config.predictor, seed, m, None);
+        let fp = fit_fingerprint(curve, &self.config.predictor, seed, m, None);
         // Stats-free probe: a published posterior means the boundary takes
         // the *counted* shared hit, so speculating would only burn a core.
         if self.shared.as_ref().is_some_and(|c| c.peek(&fp).is_some()) {
@@ -291,12 +318,17 @@ impl SchedulingPolicy for EarlyTermPolicy {
         }
         match self.specs.get(&hint.job) {
             Some(s) if s.fingerprint == fp => return, // already in flight
-            Some(s) => s.handle.cancel(),             // superseded: replace below
-            None if self.specs.len() >= self.prefetch_depth => return,
+            Some(s) => {
+                // Superseded (a retry re-hinted the window): replace below.
+                s.handle.cancel();
+                self.spec_stats.cancelled += 1;
+            }
+            None if self.specs.len() >= DEFAULT_PREFETCH_DEPTH => return,
             None => {}
         }
         let handle =
-            pool.speculate((hint.job, hint.epoch), self.config.predictor, predicted, m, seed);
+            pool.speculate((hint.job, hint.epoch), self.config.predictor, curve.clone(), m, seed);
+        self.spec_stats.speculated += 1;
         self.specs.insert(hint.job, EtSpeculation { fingerprint: fp, handle });
     }
 
@@ -316,6 +348,7 @@ impl SchedulingPolicy for EarlyTermPolicy {
         let decision = self.predictive_decision(event, ctx, &mut spec);
         if let Some(s) = spec {
             s.handle.cancel();
+            self.spec_stats.cancelled += 1;
         }
         decision
     }
@@ -422,33 +455,42 @@ mod tests {
         let values = saturating(0.30, 30);
         let mut policy = EarlyTermPolicy::with_config(EarlyTermConfig {
             predictor: PredictorConfig::test(),
-            fit_prefetch: Some(true),
             ..Default::default()
         });
-        // Epoch 30 of the hopeless candidate is in flight: 29 observed.
-        let mut ctx = MockContext::new(2);
-        ctx.push_curve(JobId::new(0), &saturating(0.82, 40), 60.0);
-        ctx.push_curve(JobId::new(1), &values[..29], 60.0);
-        let curve = ctx.curve(JobId::new(1)).expect("curve");
-        let hint = PrefetchHint {
-            job: JobId::new(1),
-            epoch: 30,
-            completion_time: SimTime::from_mins(30.0),
-            value: values[29],
-            max_epochs: ctx.max_epochs(),
-            tmax: ctx.tmax(),
-        };
-        policy.prefetch_hint(&hint, &curve);
-
+        // The hint carries the hopeless candidate's curve as the epoch-30
+        // boundary will see it.
         let mut boundary_ctx = MockContext::new(2);
         boundary_ctx.push_curve(JobId::new(0), &saturating(0.82, 40), 60.0);
         boundary_ctx.push_curve(JobId::new(1), &values, 60.0);
+        let predicted = boundary_ctx.curve(JobId::new(1)).expect("curve");
+        let hint = PrefetchHint {
+            job: JobId::new(1),
+            epoch: 30,
+            max_epochs: boundary_ctx.max_epochs(),
+            tmax: boundary_ctx.tmax(),
+        };
+        policy.prefetch_hint(&hint, &predicted);
+        assert_eq!(policy.spec_stats().speculated, 1);
+
         let decision = policy.on_iteration_finish(&event(1, 30, values[29]), &mut boundary_ctx);
         assert_eq!(decision, JobDecision::Terminate, "same verdict as the inline fit");
         assert_eq!(policy.predictions_made(), 1, "the adopted speculation is the fit");
-        let pool = policy.pool_stats().expect("prefetch spawns a pool");
-        assert_eq!(pool.speculative_completions, 1);
-        assert_eq!(pool.demand_completions, 0, "nothing was refit on demand");
+        let spec = policy.spec_stats();
+        assert_eq!((spec.adopted, spec.mismatched, spec.cancelled), (1, 0, 0));
+        assert!(policy.pool_stats().is_some(), "prefetch speculates on a pool");
+    }
+
+    #[test]
+    fn every_instance_speculates_on_one_process_wide_pool() {
+        let a = EarlyTermPolicy::new();
+        let b = EarlyTermPolicy::new();
+        let (pa, pb) = (a.pool.as_ref().expect("on"), b.pool.as_ref().expect("on"));
+        assert!(Arc::ptr_eq(pa, pb), "a pool per instance fans out cores x instances threads");
+        let off = EarlyTermPolicy::with_config(EarlyTermConfig {
+            fit_prefetch: false,
+            ..Default::default()
+        });
+        assert!(off.pool_stats().is_none(), "prefetch off starts no pool");
     }
 
     #[test]
@@ -456,24 +498,21 @@ mod tests {
         let values = saturating(0.30, 30);
         let mut policy = EarlyTermPolicy::with_config(EarlyTermConfig {
             predictor: PredictorConfig::test(),
-            fit_prefetch: Some(true),
             ..Default::default()
         });
-        let mut ctx = MockContext::new(2);
-        ctx.push_curve(JobId::new(0), &saturating(0.82, 40), 60.0);
-        ctx.push_curve(JobId::new(1), &values[..29], 60.0);
-        let curve = ctx.curve(JobId::new(1)).expect("curve");
-        // Hint predicts a value the run then fails to reproduce (live-mode
-        // divergence): the fingerprint cannot match at the boundary.
+        // The hint predicts a final value the run then fails to reproduce
+        // (live-mode divergence): the fingerprint cannot match.
+        let mut mispredicted = values.clone();
+        mispredicted[29] = 0.9;
+        let mut hint_ctx = MockContext::new(2);
+        hint_ctx.push_curve(JobId::new(1), &mispredicted, 60.0);
         let hint = PrefetchHint {
             job: JobId::new(1),
             epoch: 30,
-            completion_time: SimTime::from_mins(30.0),
-            value: 0.9,
-            max_epochs: ctx.max_epochs(),
-            tmax: ctx.tmax(),
+            max_epochs: hint_ctx.max_epochs(),
+            tmax: hint_ctx.tmax(),
         };
-        policy.prefetch_hint(&hint, &curve);
+        policy.prefetch_hint(&hint, &hint_ctx.curve(JobId::new(1)).expect("curve"));
 
         let mut boundary_ctx = MockContext::new(2);
         boundary_ctx.push_curve(JobId::new(0), &saturating(0.82, 40), 60.0);
@@ -481,6 +520,8 @@ mod tests {
         let decision = policy.on_iteration_finish(&event(1, 30, values[29]), &mut boundary_ctx);
         assert_eq!(decision, JobDecision::Terminate, "the observed curve decides, not the hint");
         assert_eq!(policy.predictions_made(), 1, "exactly one counted fit, the demand one");
+        let spec = policy.spec_stats();
+        assert_eq!((spec.speculated, spec.adopted, spec.mismatched), (1, 0, 1));
     }
 
     #[test]

@@ -401,10 +401,10 @@ fn shard_loop(
         // its studies stop speculating. Forcing the override here (not in
         // `run_study`) keeps the standalone path budget-free, and since
         // speculation never changes a trace the gate cannot either.
-        if job.spec.policy.fit_prefetch != Some(false)
+        if job.spec.policy.fit_prefetch
             && prefetch_spent.lock().get(&job.spec.tenant).copied().unwrap_or(0) >= prefetch_budget
         {
-            job.spec.policy.fit_prefetch = Some(false);
+            job.spec.policy.fit_prefetch = false;
         }
         let outcome =
             run_study(&job.spec, job.id, Some(Arc::clone(pool)), cache.clone(), queue_latency);
@@ -553,11 +553,11 @@ mod tests {
     fn prefetched_studies_trace_identically_and_charge_the_budget() {
         let server = Server::new(ServerConfig { shards: 1, fit_threads: 2, ..Default::default() });
         let mut spec = study("alice", 5);
-        spec.policy.fit_prefetch = Some(true);
+        spec.policy.fit_prefetch = true;
         let outcome = server.submit(spec.clone()).expect("admitted").wait();
         // The reference runs with prefetch explicitly off: speculation may
         // only move wall-clock, never a trace byte.
-        spec.policy.fit_prefetch = Some(false);
+        spec.policy.fit_prefetch = false;
         let reference = run_study_standalone(&spec);
         assert_eq!(outcome.trace, reference.trace, "prefetch changed the trace");
         assert_eq!(outcome.posterior_digest, reference.posterior_digest);
@@ -579,7 +579,7 @@ mod tests {
             ..Default::default()
         });
         let mut spec = study("alice", 5);
-        spec.policy.fit_prefetch = Some(true);
+        spec.policy.fit_prefetch = true;
         let outcome = server.submit(spec.clone()).expect("admitted").wait();
         assert_eq!(outcome.spec_stats.speculated, 0, "budget 0 must force prefetch off");
         assert_eq!(server.tenant_prefetch_spent("alice"), 0);

@@ -69,10 +69,13 @@ fn trace_with(
     .0
 }
 
-/// [`trace_with`] with speculative fit prefetch forced on (the engine
-/// hints boundary epochs at issue time and the policy fits them ahead).
+/// [`trace_with`] with speculative fit prefetch explicitly on or off,
+/// against a fresh in-memory shared fit cache owned by this run alone:
+/// whatever process-global cache `HYPERDRIVE_FIT_CACHE` selects (a warmed
+/// disk cache answers every fit, leaving nothing to speculate), this run
+/// fits cold. Asserts that speculation engaged exactly when it is on.
 #[allow(clippy::too_many_arguments)]
-fn trace_prefetched(
+fn trace_prefetch(
     workload: &dyn Workload,
     configs: usize,
     seed: u64,
@@ -82,6 +85,7 @@ fn trace_prefetched(
     warm_start: bool,
     fast_math: bool,
     batch_fit: bool,
+    prefetch: bool,
 ) -> String {
     let ew = ExperimentWorkload::from_workload(workload, configs, seed);
     let spec = ExperimentSpec::new(machines).with_stop_on_target(false).with_tmax(tmax);
@@ -92,15 +96,20 @@ fn trace_prefetched(
             .with_batch_fit(batch_fit),
         fit_threads,
         seed,
-        fit_prefetch: Some(true),
+        fit_prefetch: prefetch,
         ..Default::default()
     };
-    let mut pop = PopPolicy::with_config(config);
+    let mut pop = PopPolicy::with_config_and_cache(config, Some(SharedFitCache::in_memory()));
     let result = run_sim(&mut pop, &ew, spec);
-    assert!(
-        pop.spec_stats().speculated > 0,
-        "prefetch never engaged — the equivalence assertion would be vacuous"
-    );
+    let speculated = pop.spec_stats().speculated;
+    if prefetch {
+        assert!(
+            speculated > 0,
+            "prefetch never engaged — the equivalence assertion would be vacuous"
+        );
+    } else {
+        assert_eq!(speculated, 0, "prefetch off must not speculate");
+    }
 
     let mut csv = Vec::new();
     result.events.write_csv(&mut csv).expect("event log serializes");
@@ -379,21 +388,21 @@ fn existing_goldens_are_untouched_by_batch_fit() {
 }
 
 // Speculative fit prefetch is the same kind of claim as batch_fit —
-// bitwise invisible, pure overlap — so every existing golden is replayed
-// with prefetch forced on, at BOTH 1 and 4 fit threads (overlap only pays
-// off with spare workers, and worker count must never leak into traces).
+// bitwise invisible, pure overlap. Prefetch is on by default, so every
+// existing golden is replayed both ways: on, at BOTH 1 and 4 fit threads
+// (overlap only pays off with spare workers, and worker count must never
+// leak into traces), and off, the path a tenant over its speculation
+// budget takes in the server.
 
-#[test]
-fn existing_goldens_are_untouched_by_fit_prefetch() {
-    if std::env::var("HYPERDRIVE_UPDATE_GOLDEN").is_ok() {
-        return; // the per-trace tests above own regeneration
-    }
+/// The eight goldens both prefetch replays cover.
+type PrefetchCase<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime, bool, bool, bool);
+
+fn replay_goldens_with_prefetch(prefetch: bool, threads: &[usize]) {
     let cifar = CifarWorkload::new().with_max_epochs(40);
     let lunar = LunarWorkload::new().with_max_blocks(60);
     let cifar_t = SimTime::from_hours(48.0);
     let lunar_t = SimTime::from_hours(200.0);
-    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime, bool, bool, bool);
-    let cases: [Case; 8] = [
+    let cases: [PrefetchCase; 8] = [
         ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, false, false),
         ("cifar_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, false, false),
         ("cifar_fast_trace.csv", &cifar, 12, 7, 4, cifar_t, false, true, false),
@@ -407,15 +416,32 @@ fn existing_goldens_are_untouched_by_fit_prefetch() {
         let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "golden", name].iter().collect();
         let golden = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing golden file {path:?} ({e})"));
-        for threads in [1, 4] {
-            let replay =
-                trace_prefetched(w, configs, seed, machines, tmax, threads, warm, fast, batch);
+        for &threads in threads {
+            let replay = trace_prefetch(
+                w, configs, seed, machines, tmax, threads, warm, fast, batch, prefetch,
+            );
             assert_eq!(
                 replay, golden,
-                "{name}: fit_prefetch=on moved the trace at {threads} fit threads"
+                "{name}: fit_prefetch={prefetch} moved the trace at {threads} fit threads"
             );
         }
     }
+}
+
+#[test]
+fn existing_goldens_are_untouched_by_fit_prefetch() {
+    if std::env::var("HYPERDRIVE_UPDATE_GOLDEN").is_ok() {
+        return; // the per-trace tests above own regeneration
+    }
+    replay_goldens_with_prefetch(true, &[1, 4]);
+}
+
+#[test]
+fn existing_goldens_are_untouched_with_fit_prefetch_off() {
+    if std::env::var("HYPERDRIVE_UPDATE_GOLDEN").is_ok() {
+        return; // the per-trace tests above own regeneration
+    }
+    replay_goldens_with_prefetch(false, &[1]);
 }
 
 // The shared content-addressed fit cache must be *pure speed*: every one

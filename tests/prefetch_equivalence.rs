@@ -5,17 +5,26 @@
 //! fit threads {1, 4} × shared cache {off, mem} × batch_fit on/off — and
 //! asserts every cell renders byte-identical event logs and identical
 //! posterior digests. A companion test proves the sweep is non-vacuous
-//! (speculations actually fire and get adopted), and a kill-at-every-event
-//! run shows crash recovery stays byte-identical with prefetch enabled.
+//! (speculations actually fire and get adopted), a kill-at-every-event
+//! run shows crash recovery stays byte-identical with prefetch enabled,
+//! and a window-lead check pins that every hint's predicted curve is
+//! exactly the curve its boundary decision sees.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use hyperdrive::curve::{PredictorConfig, SharedFitCache, SpecStats};
-use hyperdrive::framework::{ExperimentSpec, ExperimentWorkload, SchedulingPolicy};
+use hyperdrive::framework::{
+    ExperimentSpec, ExperimentWorkload, FitCacheSnapshot, JobDecision, JobEvent, PrefetchHint,
+    SchedulerContext, SchedulingPolicy,
+};
+use hyperdrive::policies::{EarlyTermConfig, EarlyTermPolicy};
 use hyperdrive::pop::{PopConfig, PopPolicy};
 use hyperdrive::sim::{kill_at_every_event, run_sim};
-use hyperdrive::workload::CifarWorkload;
-use hyperdrive::SimTime;
+use hyperdrive::types::CurvePoint;
+use hyperdrive::workload::{CifarWorkload, LunarWorkload, Workload};
+use hyperdrive::{JobId, LearningCurve, SimTime};
 
 /// One cell of the configuration cube.
 #[derive(Debug, Clone, Copy)]
@@ -57,9 +66,7 @@ fn policy_for(cell: Cell, seed: u64, cache: Option<std::sync::Arc<SharedFitCache
         predictor,
         boundary: Some(2),
         fit_threads: cell.fit_threads,
-        // Explicit override: the CI suite runs with HYPERDRIVE_FIT_PREFETCH
-        // forced on, and this cube must pin both halves regardless.
-        fit_prefetch: Some(cell.prefetch),
+        fit_prefetch: cell.prefetch,
         seed,
         ..PopConfig::default()
     };
@@ -150,7 +157,7 @@ fn kill_at_every_event_with_prefetch_enabled() {
             predictor,
             boundary: Some(2),
             fit_threads: 2,
-            fit_prefetch: Some(true),
+            fit_prefetch: true,
             ..PopConfig::default()
         };
         Box::new(PopPolicy::with_config_and_cache(config, Some(cache.clone())))
@@ -159,4 +166,114 @@ fn kill_at_every_event_with_prefetch_enabled() {
     assert!(report.positions > 0);
     assert_eq!(report.failures, Vec::<String>::new());
     assert_eq!(report.passes, report.positions);
+}
+
+/// Delegates to `inner`, remembering each hint's predicted curve and
+/// comparing it bit for bit with the curve the hinted boundary decision
+/// actually sees.
+struct HintAudit<'a> {
+    inner: &'a mut dyn SchedulingPolicy,
+    predicted: HashMap<(JobId, u32), Vec<CurvePoint>>,
+    hints: u64,
+    checked: u64,
+    diverged: Vec<String>,
+}
+
+impl<'a> HintAudit<'a> {
+    fn new(inner: &'a mut dyn SchedulingPolicy) -> Self {
+        HintAudit { inner, predicted: HashMap::new(), hints: 0, checked: 0, diverged: Vec::new() }
+    }
+}
+
+fn same_bits(a: &[CurvePoint], b: &[CurvePoint]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(p, q)| {
+            p.epoch == q.epoch
+                && p.time.as_secs().to_bits() == q.time.as_secs().to_bits()
+                && p.value.to_bits() == q.value.to_bits()
+        })
+}
+
+impl SchedulingPolicy for HintAudit<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn allocate_jobs(&mut self, ctx: &mut dyn SchedulerContext) {
+        self.inner.allocate_jobs(ctx);
+    }
+    fn application_stat(&mut self, event: &JobEvent, ctx: &mut dyn SchedulerContext) {
+        self.inner.application_stat(event, ctx);
+    }
+    fn on_iteration_finish(
+        &mut self,
+        event: &JobEvent,
+        ctx: &mut dyn SchedulerContext,
+    ) -> JobDecision {
+        if let Some(predicted) = self.predicted.remove(&(event.job, event.epoch)) {
+            let seen = ctx.curve(event.job).expect("a deciding job has a curve");
+            self.checked += 1;
+            if !same_bits(&predicted, seen.points()) {
+                self.diverged.push(format!("{:?}@{}", event.job, event.epoch));
+            }
+        }
+        self.inner.on_iteration_finish(event, ctx)
+    }
+    fn take_decision_overhead(&mut self) -> SimTime {
+        self.inner.take_decision_overhead()
+    }
+    fn prefetch_boundary(&self, default_boundary: u32) -> Option<u32> {
+        self.inner.prefetch_boundary(default_boundary)
+    }
+    fn prefetch_hint(&mut self, hint: &PrefetchHint, curve: &LearningCurve) {
+        self.hints += 1;
+        self.predicted.insert((hint.job, hint.epoch), curve.points().to_vec());
+        self.inner.prefetch_hint(hint, curve);
+    }
+    fn fit_cache_snapshot(&self) -> Option<FitCacheSnapshot> {
+        self.inner.fit_cache_snapshot()
+    }
+}
+
+/// The window lead is exact in simulation: for POP and EarlyTerm on the
+/// CIFAR and Lunar golden setups (no faults), every hinted boundary sees
+/// precisely the predicted curve — epochs, time bits and value bits — so
+/// no speculation ever mismatches.
+#[test]
+fn window_hints_predict_the_boundary_curve_exactly() {
+    let cifar = CifarWorkload::new().with_max_epochs(40);
+    let lunar = LunarWorkload::new().with_max_blocks(60);
+    let setups: [(&str, &dyn Workload, usize, u64, usize, SimTime); 2] = [
+        ("cifar", &cifar, 12, 7, 4, SimTime::from_hours(48.0)),
+        ("lunar", &lunar, 10, 11, 3, SimTime::from_hours(200.0)),
+    ];
+    for (name, w, configs, seed, machines, tmax) in setups {
+        let ew = ExperimentWorkload::from_workload(w, configs, seed);
+        let spec = ExperimentSpec::new(machines).with_stop_on_target(false).with_tmax(tmax);
+        let mut pop = PopPolicy::with_config_and_cache(
+            PopConfig {
+                predictor: PredictorConfig::test(),
+                fit_threads: 2,
+                seed,
+                ..Default::default()
+            },
+            None,
+        );
+        let mut et = EarlyTermPolicy::with_config_and_cache(
+            EarlyTermConfig { predictor: PredictorConfig::test(), seed, ..Default::default() },
+            None,
+        );
+        for policy in [&mut pop as &mut dyn SchedulingPolicy, &mut et] {
+            let label = format!("{name}/{}", policy.name());
+            let mut audit = HintAudit::new(policy);
+            run_sim(&mut audit, &ew, spec);
+            assert!(audit.hints > 0, "{label}: no hints fired");
+            assert!(audit.checked > 0, "{label}: no hinted boundary was reached");
+            assert_eq!(audit.diverged, Vec::<String>::new(), "{label}: predicted curves diverged");
+        }
+        for (label, stats) in [("pop", pop.spec_stats()), ("earlyterm", et.spec_stats())] {
+            assert!(stats.speculated > 0, "{name}/{label}: nothing speculated ({stats:?})");
+            assert!(stats.adopted > 0, "{name}/{label}: nothing adopted ({stats:?})");
+            assert_eq!(stats.mismatched, 0, "{name}/{label}: a speculation mismatched ({stats:?})");
+        }
+    }
 }
